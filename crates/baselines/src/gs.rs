@@ -24,20 +24,16 @@
 //! must *wait out* clock skew when a dependency is ahead of the local
 //! clock (§3.2) — reproduced here via deferred retry.
 
-use crate::msg::BMsg;
+use crate::msg::{BMsg, MaxSession};
 use eunomia_core::ids::{DcId, PartitionId};
 use eunomia_core::time::{Timestamp, VectorTime};
+use eunomia_geo::cluster::Cluster;
 use eunomia_geo::config::{ClusterConfig, CostModel};
-use eunomia_geo::harness::{make_report, RunReport};
 use eunomia_geo::metrics::GeoMetrics;
-use eunomia_geo::open_loop::{Admission, OpenLoopDriver, TIMER_ARRIVAL};
-use eunomia_geo::registry::{self, SharedRegistry};
+use eunomia_geo::registry::SharedRegistry;
 use eunomia_kv::store::{StoredVersion, VersionedStore};
-use eunomia_kv::{ring, Key, Update, Value};
-use eunomia_sim::{ClockModel, Context, Process, ProcessId, SimTime, Simulation};
-use eunomia_workload::{Op, OpGenerator};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use eunomia_kv::{Key, Update, Value};
+use eunomia_sim::{Context, Process, ProcessId, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -54,15 +50,6 @@ pub enum StabilizationMode {
     /// One entry per datacenter: origin-latency visibility, costlier
     /// metadata.
     Vector,
-}
-
-impl StabilizationMode {
-    fn label(self) -> &'static str {
-        match self {
-            StabilizationMode::Scalar => "GentleRain",
-            StabilizationMode::Vector => "Cure",
-        }
-    }
 }
 
 /// Per-op metadata cost for the mode.
@@ -470,224 +457,31 @@ impl Process<BMsg> for GsAggregatorProc {
     }
 }
 
-/// Client for the global-stabilization systems (closed- or open-loop).
-///
-/// Keeps a dependency vector merged from every reply (the scalar system
-/// reduces it to its max at the partition), so one client serves both
-/// modes.
-pub struct GsClientProc {
-    dc: usize,
-    vclock: VectorTime,
-    gen: OpGenerator,
-    cfg: Rc<ClusterConfig>,
-    reg: SharedRegistry,
-    metrics: GeoMetrics,
-    issued_at: SimTime,
-    pending_is_update: bool,
-    completed: u64,
-    open: Option<OpenLoopDriver>,
-}
-
-impl GsClientProc {
-    fn new(dc: usize, cfg: Rc<ClusterConfig>, reg: SharedRegistry, metrics: GeoMetrics) -> Self {
-        let open = cfg
-            .open_loop
-            .as_ref()
-            .map(|ol| OpenLoopDriver::new(&ol.arrivals, ol.queue_limit));
-        GsClientProc {
-            dc,
-            vclock: VectorTime::new(cfg.n_dcs),
-            gen: cfg.workload.generator(),
-            cfg,
-            reg,
-            metrics,
-            issued_at: 0,
-            pending_is_update: false,
-            completed: 0,
-            open,
-        }
-    }
-
-    fn issue(&mut self, ctx: &mut Context<'_, BMsg>) {
-        let op = self.gen.next_op(ctx.rng());
-        self.send_op(ctx, op);
-    }
-
-    fn send_op(&mut self, ctx: &mut Context<'_, BMsg>, op: Op) {
-        let key = Key(op.key());
-        let partition = ring::responsible(key, self.cfg.partitions_per_dc);
-        let target = self.reg.borrow().partition(self.dc, partition.index());
-        self.issued_at = ctx.now();
-        match op {
-            Op::Read(_) => {
-                self.pending_is_update = false;
-                ctx.send(target, BMsg::Read { key });
-            }
-            Op::Update(_, value) => {
-                self.pending_is_update = true;
-                ctx.send(
-                    target,
-                    BMsg::Update {
-                        key,
-                        value,
-                        deps: self.vclock.clone(),
-                    },
-                );
-            }
-        }
-    }
-
-    fn complete(&mut self, ctx: &mut Context<'_, BMsg>, vts: &VectorTime) {
-        self.vclock.merge_max(vts);
-        let now = ctx.now();
-        if let Some(driver) = self.open.as_mut() {
-            let (intended, next) = driver.on_completion(now, self.issued_at, &self.metrics);
-            self.metrics.record_op(
-                self.dc,
-                now,
-                now.saturating_sub(intended),
-                self.pending_is_update,
-            );
-            self.completed += 1;
-            if let Some(op) = next {
-                if self.under_budget() {
-                    self.send_op(ctx, op);
-                }
-            }
-            return;
-        }
-        let latency = now.saturating_sub(self.issued_at);
-        self.metrics
-            .record_op(self.dc, now, latency, self.pending_is_update);
-        self.completed += 1;
-        if self.under_budget() {
-            self.issue(ctx);
-        }
-    }
-
-    fn under_budget(&self) -> bool {
-        self.cfg
-            .ops_per_client
-            .is_none_or(|budget| self.completed < budget)
-    }
-}
-
-impl Process<BMsg> for GsClientProc {
-    fn on_start(&mut self, ctx: &mut Context<'_, BMsg>) {
-        match self.open.as_mut() {
-            Some(driver) => driver.start(ctx),
-            None => self.issue(ctx),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, BMsg>, tag: u64) {
-        debug_assert_eq!(tag, TIMER_ARRIVAL, "gs client has no other timers");
-        if !self.under_budget() {
-            return;
-        }
-        let op = self.gen.next_op(ctx.rng());
-        let driver = self.open.as_mut().expect("arrival timer without driver");
-        if let Admission::Issue(op) = driver.on_arrival(ctx, op, &self.metrics) {
-            self.send_op(ctx, op);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, BMsg>, _from: ProcessId, msg: BMsg) {
-        match msg {
-            BMsg::ReadReply { vts, .. } | BMsg::UpdateReply { vts } => {
-                let vts = vts.clone();
-                self.complete(ctx, &vts);
-            }
-            other => {
-                debug_assert!(false, "gs client received unexpected message: {other:?}");
-            }
-        }
-    }
-
-    fn mc_state(&self, mut h: &mut dyn std::hash::Hasher) -> bool {
-        use std::hash::Hash as _;
-        h.write_usize(self.dc);
-        self.vclock.hash(&mut h);
-        self.gen.state_digest(h);
-        self.pending_is_update.hash(&mut h);
-        h.write_u64(self.completed);
-        if let Some(driver) = &self.open {
-            driver.state_digest(h);
-        }
-        true
-    }
-}
-
-fn draw_clock(cfg: &ClusterConfig, rng: &mut StdRng) -> ClockModel {
-    if cfg.clock_skew == 0 && cfg.drift_ppm == 0.0 {
-        return ClockModel::perfect();
-    }
-    let skew = cfg.clock_skew as i64;
-    let offset = if skew > 0 {
-        rng.random_range(-skew..=skew)
-    } else {
-        0
-    };
-    let drift = if cfg.drift_ppm > 0.0 {
-        rng.random_range(-cfg.drift_ppm..=cfg.drift_ppm)
-    } else {
-        0.0
-    };
-    ClockModel::new(offset, drift)
-}
-
-/// Builds a GentleRain or Cure deployment.
-pub fn build(
-    mode: StabilizationMode,
-    cfg: ClusterConfig,
-) -> (Simulation<BMsg>, GeoMetrics, Rc<ClusterConfig>) {
-    let cfg = Rc::new(cfg);
-    let metrics = GeoMetrics::new(cfg.n_dcs);
-    if cfg.apply_log {
-        metrics.enable_apply_log();
-    }
-    if cfg.track_staleness {
-        metrics.enable_staleness_tracking();
-    }
-    let reg = registry::shared();
-    let mut sim: Simulation<BMsg> = Simulation::new(cfg.topology(), cfg.seed);
-    let mut clock_rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_C10C);
-
+/// Builds a GentleRain or Cure deployment: per datacenter, the
+/// partitions (each on a node with a drawn clock), one aggregator and the
+/// clients.
+pub(crate) fn build(mode: StabilizationMode, cfg: ClusterConfig) -> Cluster<BMsg> {
+    let mut cluster = Cluster::new(cfg);
+    let cfg = cluster.cfg.clone();
+    let (reg, metrics) = (cluster.registry.clone(), cluster.metrics.clone());
     let mut partitions = Vec::new();
     let mut aggregators = Vec::new();
     for dc in 0..cfg.n_dcs {
         let mut dc_parts = Vec::new();
         for p in 0..cfg.partitions_per_dc {
-            let node = sim.add_node_with_clock(dc, draw_clock(&cfg, &mut clock_rng));
             let proc = GsPartitionProc::new(mode, dc, p, cfg.clone(), reg.clone(), metrics.clone());
-            dc_parts.push(sim.add_process_on(node, Box::new(proc)));
+            dc_parts.push(cluster.add_clocked(dc, proc));
         }
         partitions.push(dc_parts);
-        let node = sim.add_node(dc);
         let agg = GsAggregatorProc::new(dc, cfg.clone(), reg.clone());
-        aggregators.push(sim.add_process_on(node, Box::new(agg)));
-        for _ in 0..cfg.clients_per_dc {
-            let node = sim.add_node(dc);
-            let client = GsClientProc::new(dc, cfg.clone(), reg.clone(), metrics.clone());
-            sim.add_process_on(node, Box::new(client));
+        aggregators.push(cluster.sim.add_process(dc, Box::new(agg)));
+        for c in 0..cfg.clients_per_dc {
+            cluster.add_client(dc, c, MaxSession::new(dc, cfg.n_dcs));
         }
     }
-    // The shared timed fault schedule (partitions, gray links, pauses).
-    eunomia_geo::apply_faults(&cfg, &mut sim, &partitions);
-    {
-        let mut r = reg.borrow_mut();
-        r.partitions = partitions;
-        r.aggregators = aggregators;
-    }
-    (sim, metrics, cfg)
-}
-
-/// Builds, runs and reports a GentleRain/Cure deployment.
-/// Crate-private: external callers go through `eunomia_geo::run`.
-pub(crate) fn run(mode: StabilizationMode, cfg: ClusterConfig) -> RunReport {
-    let (mut sim, metrics, cfg) = build(mode, cfg);
-    sim.run_until(cfg.duration);
-    make_report(mode.label(), &metrics, &cfg, sim.stats())
+    cluster.set_partitions(partitions);
+    reg.borrow_mut().aggregators = aggregators;
+    cluster
 }
 
 #[cfg(test)]
@@ -761,10 +555,15 @@ mod unit_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eunomia_geo::{RunReport, SystemId};
+
+    fn run(id: SystemId) -> RunReport {
+        crate::build(id, ClusterConfig::small_test()).run(id)
+    }
 
     #[test]
     fn gentlerain_small_run_applies_remote_updates() {
-        let report = run(StabilizationMode::Scalar, ClusterConfig::small_test());
+        let report = run(SystemId::GentleRain);
         assert!(report.total_ops > 100);
         let v = report.metrics.visibility_extras(0, 1, 0, u64::MAX);
         assert!(!v.is_empty(), "remote updates must become visible");
@@ -772,7 +571,7 @@ mod tests {
 
     #[test]
     fn cure_small_run_applies_remote_updates() {
-        let report = run(StabilizationMode::Vector, ClusterConfig::small_test());
+        let report = run(SystemId::Cure);
         assert!(report.total_ops > 100);
         let v = report.metrics.visibility_extras(1, 0, 0, u64::MAX);
         assert!(!v.is_empty(), "remote updates must become visible");
@@ -782,7 +581,7 @@ mod tests {
     fn gentlerain_visibility_floor_includes_stabilization_lag() {
         // With a 20 ms RTT two-DC topology, GentleRain's extra delay is at
         // least the heartbeat/aggregation lag and never negative.
-        let report = run(StabilizationMode::Scalar, ClusterConfig::small_test());
+        let report = run(SystemId::GentleRain);
         let p50 = report.visibility_percentile_ms(0, 1, 50.0).unwrap();
         assert!(
             (0.0..100.0).contains(&p50),

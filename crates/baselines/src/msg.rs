@@ -9,7 +9,9 @@
 
 use eunomia_core::ids::{DcId, PartitionId};
 use eunomia_core::time::{Timestamp, VectorTime};
+use eunomia_geo::client::{ClientProtocol, Reply};
 use eunomia_kv::{Key, Update, Value};
+use std::hash::{Hash, Hasher};
 
 /// All messages of the GentleRain / Cure / S-Seq / A-Seq systems.
 #[derive(Clone, Debug, Hash)]
@@ -100,4 +102,58 @@ pub enum BMsg {
         /// Its sequence number.
         seq: u64,
     },
+}
+
+/// Client session of the four baselines: the entrywise max of every
+/// vector time the client has seen, shipped as an update's dependencies
+/// (GentleRain's partitions reduce it to its max entry; the sequencer
+/// systems read it as per-datacenter sequence numbers).
+pub(crate) struct MaxSession {
+    dc: usize,
+    vclock: VectorTime,
+}
+
+impl MaxSession {
+    /// A fresh session homed at `dc` in an `n_dcs` deployment.
+    pub(crate) fn new(dc: usize, n_dcs: usize) -> Self {
+        MaxSession {
+            dc,
+            vclock: VectorTime::new(n_dcs),
+        }
+    }
+}
+
+impl ClientProtocol for MaxSession {
+    type Msg = BMsg;
+
+    fn read(&self, key: Key) -> BMsg {
+        BMsg::Read { key }
+    }
+
+    fn update(&self, key: Key, value: Value) -> BMsg {
+        BMsg::Update {
+            key,
+            value,
+            deps: self.vclock.clone(),
+        }
+    }
+
+    fn decode(msg: BMsg) -> Option<Reply> {
+        match msg {
+            BMsg::ReadReply { vts, .. } => Some((vts, false, None)),
+            BMsg::UpdateReply { vts } => Some((vts, true, None)),
+            _ => None,
+        }
+    }
+
+    fn observe(&mut self, vts: VectorTime, _is_update: bool) {
+        self.vclock.merge_max(&vts);
+    }
+
+    fn digest(&self, mut h: &mut dyn Hasher, _client: u32, _pending_key: u64) {
+        // The client id and the in-flight key feed only the session log,
+        // which the baselines never keep, so neither shapes their future.
+        h.write_usize(self.dc);
+        self.vclock.hash(&mut h);
+    }
 }

@@ -13,19 +13,17 @@
 //! causality; it exists to isolate how much of S-Seq's penalty is the
 //! synchronous round trip (§2, Fig. 1).
 
-use crate::msg::BMsg;
+use crate::msg::{BMsg, MaxSession};
 use eunomia_core::ids::DcId;
 use eunomia_core::sequencer::Sequencer;
 use eunomia_core::time::{Timestamp, VectorTime};
+use eunomia_geo::cluster::Cluster;
 use eunomia_geo::config::ClusterConfig;
-use eunomia_geo::harness::{make_report, RunReport};
 use eunomia_geo::metrics::GeoMetrics;
-use eunomia_geo::open_loop::{Admission, OpenLoopDriver, TIMER_ARRIVAL};
-use eunomia_geo::registry::{self, SharedRegistry};
+use eunomia_geo::registry::SharedRegistry;
 use eunomia_kv::store::{StoredVersion, VersionedStore};
 use eunomia_kv::{ring, Key, Update, Value};
-use eunomia_sim::{Context, Process, ProcessId, SimTime, Simulation};
-use eunomia_workload::{Op, OpGenerator};
+use eunomia_sim::{Context, Process, ProcessId, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -38,15 +36,6 @@ pub enum SeqMode {
     Synchronous,
     /// Sequencer contacted in parallel; client reply does not wait.
     Asynchronous,
-}
-
-impl SeqMode {
-    fn label(self) -> &'static str {
-        match self {
-            SeqMode::Synchronous => "S-Seq",
-            SeqMode::Asynchronous => "A-Seq",
-        }
-    }
 }
 
 struct PendingSeq {
@@ -427,167 +416,13 @@ impl Process<BMsg> for SeqReceiverProc {
     }
 }
 
-/// Client for the sequencer systems (closed- or open-loop; vector of
-/// per-DC sequence numbers as the session clock).
-pub struct SeqClientProc {
-    dc: usize,
-    vclock: VectorTime,
-    gen: OpGenerator,
-    cfg: Rc<ClusterConfig>,
-    reg: SharedRegistry,
-    metrics: GeoMetrics,
-    issued_at: SimTime,
-    pending_is_update: bool,
-    completed: u64,
-    open: Option<OpenLoopDriver>,
-}
-
-impl SeqClientProc {
-    fn new(dc: usize, cfg: Rc<ClusterConfig>, reg: SharedRegistry, metrics: GeoMetrics) -> Self {
-        let open = cfg
-            .open_loop
-            .as_ref()
-            .map(|ol| OpenLoopDriver::new(&ol.arrivals, ol.queue_limit));
-        SeqClientProc {
-            dc,
-            vclock: VectorTime::new(cfg.n_dcs),
-            gen: cfg.workload.generator(),
-            cfg,
-            reg,
-            metrics,
-            issued_at: 0,
-            pending_is_update: false,
-            completed: 0,
-            open,
-        }
-    }
-
-    fn issue(&mut self, ctx: &mut Context<'_, BMsg>) {
-        let op = self.gen.next_op(ctx.rng());
-        self.send_op(ctx, op);
-    }
-
-    fn send_op(&mut self, ctx: &mut Context<'_, BMsg>, op: Op) {
-        let key = Key(op.key());
-        let partition = ring::responsible(key, self.cfg.partitions_per_dc);
-        let target = self.reg.borrow().partition(self.dc, partition.index());
-        self.issued_at = ctx.now();
-        match op {
-            Op::Read(_) => {
-                self.pending_is_update = false;
-                ctx.send(target, BMsg::Read { key });
-            }
-            Op::Update(_, value) => {
-                self.pending_is_update = true;
-                ctx.send(
-                    target,
-                    BMsg::Update {
-                        key,
-                        value,
-                        deps: self.vclock.clone(),
-                    },
-                );
-            }
-        }
-    }
-
-    fn complete(&mut self, ctx: &mut Context<'_, BMsg>, vts: &VectorTime) {
-        self.vclock.merge_max(vts);
-        let now = ctx.now();
-        if let Some(driver) = self.open.as_mut() {
-            let (intended, next) = driver.on_completion(now, self.issued_at, &self.metrics);
-            self.metrics.record_op(
-                self.dc,
-                now,
-                now.saturating_sub(intended),
-                self.pending_is_update,
-            );
-            self.completed += 1;
-            if let Some(op) = next {
-                if self.under_budget() {
-                    self.send_op(ctx, op);
-                }
-            }
-            return;
-        }
-        let latency = now.saturating_sub(self.issued_at);
-        self.metrics
-            .record_op(self.dc, now, latency, self.pending_is_update);
-        self.completed += 1;
-        if self.under_budget() {
-            self.issue(ctx);
-        }
-    }
-
-    fn under_budget(&self) -> bool {
-        self.cfg
-            .ops_per_client
-            .is_none_or(|budget| self.completed < budget)
-    }
-}
-
-impl Process<BMsg> for SeqClientProc {
-    fn on_start(&mut self, ctx: &mut Context<'_, BMsg>) {
-        match self.open.as_mut() {
-            Some(driver) => driver.start(ctx),
-            None => self.issue(ctx),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, BMsg>, tag: u64) {
-        debug_assert_eq!(tag, TIMER_ARRIVAL, "seq client has no other timers");
-        if !self.under_budget() {
-            return;
-        }
-        let op = self.gen.next_op(ctx.rng());
-        let driver = self.open.as_mut().expect("arrival timer without driver");
-        if let Admission::Issue(op) = driver.on_arrival(ctx, op, &self.metrics) {
-            self.send_op(ctx, op);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, BMsg>, _from: ProcessId, msg: BMsg) {
-        match msg {
-            BMsg::ReadReply { vts, .. } | BMsg::UpdateReply { vts } => {
-                let vts = vts.clone();
-                self.complete(ctx, &vts);
-            }
-            other => {
-                debug_assert!(false, "seq client received unexpected message: {other:?}");
-            }
-        }
-    }
-
-    fn mc_state(&self, mut h: &mut dyn std::hash::Hasher) -> bool {
-        use std::hash::Hash as _;
-        h.write_usize(self.dc);
-        self.vclock.hash(&mut h);
-        self.gen.state_digest(h);
-        self.pending_is_update.hash(&mut h);
-        h.write_u64(self.completed);
-        if let Some(driver) = &self.open {
-            driver.state_digest(h);
-        }
-        true
-    }
-}
-
-/// Builds an S-Seq or A-Seq deployment.
-pub fn build(
-    mode: SeqMode,
-    cfg: ClusterConfig,
-) -> (Simulation<BMsg>, GeoMetrics, Rc<ClusterConfig>) {
-    let cfg = Rc::new(cfg);
-    let metrics = GeoMetrics::new(cfg.n_dcs);
-    if cfg.apply_log {
-        metrics.enable_apply_log();
-    }
-    if cfg.track_staleness {
-        metrics.enable_staleness_tracking();
-    }
-    let reg = registry::shared();
-    let mut sim: Simulation<BMsg> = Simulation::new(cfg.topology(), cfg.seed);
-
+/// Builds an S-Seq or A-Seq deployment: per datacenter, the partitions,
+/// the sequencer, the receiver and the clients, each on its own node with
+/// a perfect clock (no sequencer-system process reads physical time).
+pub(crate) fn build(mode: SeqMode, cfg: ClusterConfig) -> Cluster<BMsg> {
+    let mut cluster = Cluster::new(cfg);
+    let cfg = cluster.cfg.clone();
+    let (reg, metrics) = (cluster.registry.clone(), cluster.metrics.clone());
     let mut partitions = Vec::new();
     let mut sequencers = Vec::new();
     let mut seq_receivers = Vec::new();
@@ -596,36 +431,24 @@ pub fn build(
         for p in 0..cfg.partitions_per_dc {
             let proc =
                 SeqPartitionProc::new(mode, dc, p, cfg.clone(), reg.clone(), metrics.clone());
-            dc_parts.push(sim.add_process(dc, Box::new(proc)));
+            dc_parts.push(cluster.sim.add_process(dc, Box::new(proc)));
         }
         partitions.push(dc_parts);
-        sequencers.push(sim.add_process(dc, Box::new(SequencerProc::new(cfg.clone()))));
-        seq_receivers.push(sim.add_process(
-            dc,
-            Box::new(SeqReceiverProc::new(dc, cfg.clone(), reg.clone())),
-        ));
-        for _ in 0..cfg.clients_per_dc {
-            let client = SeqClientProc::new(dc, cfg.clone(), reg.clone(), metrics.clone());
-            sim.add_process(dc, Box::new(client));
+        let sequencer = SequencerProc::new(cfg.clone());
+        sequencers.push(cluster.sim.add_process(dc, Box::new(sequencer)));
+        let receiver = SeqReceiverProc::new(dc, cfg.clone(), reg.clone());
+        seq_receivers.push(cluster.sim.add_process(dc, Box::new(receiver)));
+        for c in 0..cfg.clients_per_dc {
+            cluster.add_client(dc, c, MaxSession::new(dc, cfg.n_dcs));
         }
     }
-    // The shared timed fault schedule (partitions, gray links, pauses).
-    eunomia_geo::apply_faults(&cfg, &mut sim, &partitions);
+    cluster.set_partitions(partitions);
     {
         let mut r = reg.borrow_mut();
-        r.partitions = partitions;
         r.sequencers = sequencers;
         r.seq_receivers = seq_receivers;
     }
-    (sim, metrics, cfg)
-}
-
-/// Builds, runs and reports an S-Seq or A-Seq deployment.
-/// Crate-private: external callers go through `eunomia_geo::run`.
-pub(crate) fn run(mode: SeqMode, cfg: ClusterConfig) -> RunReport {
-    let (mut sim, metrics, cfg) = build(mode, cfg);
-    sim.run_until(cfg.duration);
-    make_report(mode.label(), &metrics, &cfg, sim.stats())
+    cluster
 }
 
 #[cfg(test)]
@@ -691,10 +514,15 @@ mod receiver_unit_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eunomia_geo::{RunReport, SystemId};
+
+    fn run(id: SystemId) -> RunReport {
+        crate::build(id, ClusterConfig::small_test()).run(id)
+    }
 
     #[test]
     fn sseq_small_run_replicates() {
-        let report = run(SeqMode::Synchronous, ClusterConfig::small_test());
+        let report = run(SystemId::SSeq);
         assert!(report.total_ops > 100);
         assert!(!report
             .metrics
@@ -706,8 +534,8 @@ mod tests {
     fn aseq_outruns_sseq() {
         // The bogus async variant avoids the sequencer round trip in the
         // critical path, so its throughput must be at least S-Seq's.
-        let s = run(SeqMode::Synchronous, ClusterConfig::small_test());
-        let a = run(SeqMode::Asynchronous, ClusterConfig::small_test());
+        let s = run(SystemId::SSeq);
+        let a = run(SystemId::ASeq);
         assert!(
             a.throughput >= s.throughput,
             "A-Seq {} < S-Seq {}",
@@ -720,7 +548,7 @@ mod tests {
     fn sequencer_visibility_extra_is_small() {
         // Sequencer-based systems apply remote updates as soon as the
         // sequence is contiguous: extra delay ~ queueing only.
-        let report = run(SeqMode::Synchronous, ClusterConfig::small_test());
+        let report = run(SystemId::SSeq);
         let p90 = report.visibility_percentile_ms(0, 1, 90.0).unwrap();
         assert!(
             p90 < 50.0,

@@ -1,11 +1,9 @@
 //! Criterion bench — micro-operations on the protocol hot paths: clock
-//! ticks, vector merges, Eunomia ingest/stabilize cycles, sharded-replica
-//! frame ingestion (the code the threaded figures run), sequencer
-//! counter, lane-sender window maintenance.
+//! ticks, vector merges, sharded-replica frame ingestion and
+//! stabilization (the code the threaded figures run), sequencer counter,
+//! lane-sender window maintenance.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eunomia_core::batch::Batcher;
-use eunomia_core::eunomia::EunomiaState;
 use eunomia_core::ids::{PartitionId, ReplicaId};
 use eunomia_core::sequencer::Sequencer;
 use eunomia_core::shard::{BatchFrame, LaneSender, ShardedReplicaState};
@@ -41,23 +39,6 @@ fn clock_benches(c: &mut Criterion) {
 }
 
 fn eunomia_benches(c: &mut Criterion) {
-    c.bench_function("eunomia/ingest_and_stabilize_16p", |b| {
-        // Steady state: 16 partitions round-robin one op each, then a
-        // stabilization pass drains what became stable.
-        b.iter_with_setup(
-            || (EunomiaState::<u64>::new(16), Vec::new()),
-            |(mut svc, mut out)| {
-                for round in 0..64u64 {
-                    for p in 0..16u32 {
-                        let ts = round * 100 + u64::from(p) + 1;
-                        svc.add_op(PartitionId(p), Timestamp(ts), ts).unwrap();
-                    }
-                    svc.process_stable(&mut out);
-                }
-                black_box(out.len())
-            },
-        )
-    });
     c.bench_function("eunomia/replica_duplicate_filtering", |b| {
         // At-least-once delivery on the threaded hot path: half of each
         // batch frame was already seen, sliced off by the watermark dedup
@@ -123,17 +104,6 @@ fn eunomia_benches(c: &mut Criterion) {
                 sender.on_ack(ReplicaId(r), Timestamp(ts));
             }
             black_box((scratch.len(), sender.window_len()))
-        })
-    });
-    c.bench_function("eunomia/batcher_push_flush", |b| {
-        let mut batcher: Batcher<u64> = Batcher::new(0);
-        let mut t = 0u64;
-        b.iter(|| {
-            for i in 0..64u64 {
-                batcher.push(i);
-            }
-            t += 1;
-            black_box(batcher.force_flush(Timestamp(t)).len())
         })
     });
 }

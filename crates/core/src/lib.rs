@@ -15,11 +15,10 @@
 //!   (Kulkarni et al.), vector times with one entry per datacenter (§4).
 //! * [`buffer`] — the stabilization buffer: a totally ordered set of
 //!   unstable operations keyed by `(timestamp, partition)` (§6).
-//! * [`eunomia`] — the Eunomia service state machine: `ADD_OP`,
-//!   `HEARTBEAT`, `PROCESS_STABLE` (Alg. 3, §3.1).
-//! * [`replica`] — fault-tolerant Eunomia: replica state (Alg. 4), the
-//!   partition-side replicated sender enforcing the prefix property, and
-//!   leader-driven stable broadcast (§3.3).
+//! * [`replica`] — the Eunomia service: replica state (Alg. 3 and its
+//!   fault-tolerant form, Alg. 4), the partition-side replicated sender
+//!   enforcing the prefix property, and leader-driven stable broadcast
+//!   (§3.1, §3.3).
 //! * [`shard`] — the sharded, flat-buffer variant of the replica used by
 //!   the threaded runtime's hot path: per-feeder lanes with watermark
 //!   dedup, a tournament tree over stable cutoffs, and id batches in
@@ -28,36 +27,34 @@
 //!   asynchronous leader election; we provide a timeout-based one).
 //! * [`sequencer`] — the traditional sequencer and its chain-replicated
 //!   fault-tolerant variant, used as baselines (§7.1).
-//! * [`batch`] — partition-side operation batching (§5).
 //! * [`tree`] — the fan-in propagation tree among partition servers (§5).
 //!
 //! # Examples
 //!
-//! Deferred stabilization of updates from two partitions:
+//! Deferred stabilization of updates from two partitions, on the leader
+//! replica (replica 0 leads by convention):
 //!
 //! ```
-//! use eunomia_core::eunomia::EunomiaState;
-//! use eunomia_core::ids::PartitionId;
+//! use eunomia_core::ids::{PartitionId, ReplicaId};
+//! use eunomia_core::replica::ReplicaState;
 //! use eunomia_core::time::Timestamp;
 //!
-//! let mut service: EunomiaState<&str> = EunomiaState::new(2);
-//! service.add_op(PartitionId(0), Timestamp(10), "a").unwrap();
-//! service.add_op(PartitionId(1), Timestamp(12), "b").unwrap();
-//! // Nothing is stable yet: partition 0 might still send ts 11.
+//! let mut service: ReplicaState<&str> = ReplicaState::new(ReplicaId(0), 2);
+//! service.new_batch(PartitionId(0), [(Timestamp(10), "a")]).unwrap();
+//! service.new_batch(PartitionId(1), [(Timestamp(12), "b")]).unwrap();
+//! // Only "a" is stable: partition 0 might still send ts 11.
 //! let mut stable = Vec::new();
-//! service.process_stable(&mut stable);
+//! assert_eq!(service.leader_process_stable(&mut stable), Some(Timestamp(10)));
 //! assert_eq!(stable.iter().map(|(_, v)| *v).collect::<Vec<_>>(), vec!["a"]);
 //!
 //! // A heartbeat from partition 0 pushes the stable time forward.
-//! service.heartbeat(PartitionId(0), Timestamp(20));
-//! service.process_stable(&mut stable);
+//! service.heartbeat(PartitionId(0), Timestamp(20)).unwrap();
+//! service.leader_process_stable(&mut stable);
 //! assert_eq!(stable.iter().map(|(_, v)| *v).collect::<Vec<_>>(), vec!["a", "b"]);
 //! ```
 
-pub mod batch;
 pub mod buffer;
 pub mod election;
-pub mod eunomia;
 pub mod ids;
 pub mod replica;
 pub mod sequencer;
@@ -66,8 +63,7 @@ pub mod time;
 pub mod tree;
 
 pub use buffer::{OpKey, StabilizationBuffer};
-pub use eunomia::EunomiaState;
 pub use ids::{DcId, PartitionId, ReplicaId};
-pub use replica::{ReplicaState, ReplicatedSender};
+pub use replica::{EunomiaError, ReplicaState, ReplicatedSender};
 pub use shard::{BatchFrame, LaneSender, ShardedReplicaState};
 pub use time::{ScalarHlc, Timestamp, VectorTime};

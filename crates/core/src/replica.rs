@@ -17,11 +17,33 @@
 //! inputs whose order does not matter.
 
 use crate::buffer::{OpKey, StabilizationBuffer};
-use crate::eunomia::EunomiaError;
 use crate::ids::{PartitionId, ReplicaId};
 use crate::time::Timestamp;
 use eunomia_collections::{OrderedMap, RbTree};
 use std::collections::VecDeque;
+
+/// Errors surfaced by the Eunomia state machines ([`ReplicaState`] and
+/// [`crate::shard::ShardedReplicaState`]).
+///
+/// A correct deployment never produces these: they exist so that drivers
+/// and tests can detect wiring mistakes instead of silently corrupting
+/// the stabilization order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EunomiaError {
+    /// An operation or heartbeat arrived from a partition id outside the
+    /// configured range.
+    UnknownPartition(PartitionId),
+}
+
+impl std::fmt::Display for EunomiaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EunomiaError::UnknownPartition(p) => write!(f, "unknown partition {p}"),
+        }
+    }
+}
+
+impl std::error::Error for EunomiaError {}
 
 /// One replica of the fault-tolerant Eunomia service (Algorithm 4).
 #[derive(Clone, Debug)]

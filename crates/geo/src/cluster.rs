@@ -1,9 +1,12 @@
-//! Cluster assembly: spawns clients, partitions, Eunomia replicas and
-//! receivers on the simulator and wires the registry.
+//! Cluster assembly: the scaffold every system's builder shares (the
+//! simulator, metrics sink, registry, clock draws, clients, fault wiring
+//! and the run→report epilogue) and the native builder that spawns
+//! EunomiaKV's and Eventual's partitions, Eunomia replicas and receivers.
 
-use crate::client::ClientProc;
+use crate::client::{ClientProc, ClientProtocol, NativeSession};
 use crate::config::ClusterConfig;
 use crate::eunomia_proc::ReplicaProc;
+use crate::harness::{make_report, RunReport};
 use crate::metrics::GeoMetrics;
 use crate::msg::Msg;
 use crate::partition::PartitionProc;
@@ -11,25 +14,28 @@ use crate::receiver::ReceiverProc;
 use crate::registry::{self, SharedRegistry};
 use crate::system::SystemId;
 use eunomia_core::ids::ReplicaId;
-use eunomia_sim::{ClockModel, ProcessId, Simulation};
+use eunomia_sim::{ClockModel, Process, ProcessId, Simulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::rc::Rc;
 
-/// A built (not yet run) cluster.
-pub struct Cluster {
+/// A built (not yet run) cluster of any system, over its message type `M`.
+pub struct Cluster<M = Msg> {
     /// The simulation, ready to run.
-    pub sim: Simulation<Msg>,
+    pub sim: Simulation<M>,
     /// Shared metrics sink.
     pub metrics: GeoMetrics,
     /// Process registry (filled).
     pub registry: SharedRegistry,
     /// Client process ids (for targeted inspection).
     pub clients: Vec<ProcessId>,
-    /// Eunomia replica ids per datacenter (crash-injection targets).
+    /// Eunomia replica ids per datacenter (crash-injection targets; empty
+    /// for systems that run no Eunomia replicas).
     pub replicas: Vec<Vec<ProcessId>>,
     /// The configuration the cluster was built from.
     pub cfg: Rc<ClusterConfig>,
+    /// Draws the clocks of [`Cluster::add_clocked`] nodes.
+    clock_rng: StdRng,
 }
 
 /// Draws a clock model within the configured skew/drift bounds.
@@ -51,6 +57,65 @@ fn draw_clock(cfg: &ClusterConfig, rng: &mut StdRng) -> ClockModel {
     ClockModel::new(offset, drift)
 }
 
+impl<M: 'static> Cluster<M> {
+    /// An empty deployment of `cfg`: the simulator over its topology, the
+    /// metrics sink it asks for, and an empty registry.
+    pub fn new(cfg: ClusterConfig) -> Self {
+        let cfg = Rc::new(cfg);
+        Cluster {
+            sim: Simulation::new(cfg.topology(), cfg.seed),
+            metrics: GeoMetrics::from_config(&cfg),
+            registry: registry::shared(),
+            clients: Vec::new(),
+            replicas: Vec::new(),
+            clock_rng: StdRng::seed_from_u64(cfg.seed ^ 0x5EED_C10C),
+            cfg,
+        }
+    }
+
+    /// Places `proc` on a new node of datacenter `dc` whose clock is drawn
+    /// within the configured skew/drift bounds (processes that read
+    /// physical clocks: partitions, Eunomia replicas).
+    pub fn add_clocked(&mut self, dc: usize, proc: impl Process<M> + 'static) -> ProcessId {
+        let clock = draw_clock(&self.cfg, &mut self.clock_rng);
+        let node = self.sim.add_node_with_clock(dc, clock);
+        self.sim.add_process_on(node, Box::new(proc))
+    }
+
+    /// Adds client `c` of datacenter `dc`, running `session`.
+    pub fn add_client<P>(&mut self, dc: usize, c: usize, session: P)
+    where
+        P: ClientProtocol<Msg = M> + 'static,
+    {
+        let id = (dc * self.cfg.clients_per_dc + c) as u32;
+        let proc = ClientProc::new(
+            session,
+            dc,
+            id,
+            self.cfg.clone(),
+            self.registry.clone(),
+            self.metrics.clone(),
+        );
+        let pid = self.sim.add_process(dc, Box::new(proc));
+        self.clients.push(pid);
+    }
+
+    /// Registers the partition processes `partitions[dc][p]` and applies
+    /// the timed fault schedule (link faults, partition-server pauses) to
+    /// them.
+    pub fn set_partitions(&mut self, partitions: Vec<Vec<ProcessId>>) {
+        crate::faults::apply_faults(&self.cfg, &mut self.sim, &partitions);
+        self.registry.borrow_mut().partitions = partitions;
+    }
+
+    /// Runs the simulation for the configured duration and reports it
+    /// under `id`'s label.
+    pub fn run(mut self, id: SystemId) -> RunReport {
+        self.sim.run_until(self.cfg.duration);
+        make_report(id.label(), &self.metrics, &self.cfg, self.sim.stats())
+    }
+}
+
 /// Builds a full deployment of one of the *native* systems (Eventual or
 /// EunomiaKV) per `cfg`. Baseline systems are assembled by
 /// `eunomia-baselines`; use [`crate::run`] for the unified entry point.
@@ -65,93 +130,59 @@ pub fn build(id: SystemId, cfg: ClusterConfig) -> Cluster {
         "cluster::build assembles only the native systems (Eventual, EunomiaKV); \
          {id} is built by eunomia-baselines"
     );
-    let cfg = Rc::new(cfg);
-    let metrics = GeoMetrics::new(cfg.n_dcs);
-    if cfg.apply_log {
-        metrics.enable_apply_log();
-    }
-    if cfg.track_staleness {
-        metrics.enable_staleness_tracking();
-    }
-    if cfg.track_sessions {
-        metrics.enable_session_log();
-    }
-    let reg = registry::shared();
-    let mut sim: Simulation<Msg> = Simulation::new(cfg.topology(), cfg.seed);
-    let mut clock_rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_C10C);
+    let mut cluster = Cluster::new(cfg);
+    let cfg = cluster.cfg.clone();
+    let (reg, metrics) = (cluster.registry.clone(), cluster.metrics.clone());
+    let causal = id == SystemId::EunomiaKv;
 
     let mut partitions = Vec::new();
-    let mut eunomia = Vec::new();
     let mut receivers = Vec::new();
-    let mut clients = Vec::new();
-
     for dc in 0..cfg.n_dcs {
         let mut dc_parts = Vec::new();
         for p in 0..cfg.partitions_per_dc {
-            let node = sim.add_node_with_clock(dc, draw_clock(&cfg, &mut clock_rng));
             let proc = PartitionProc::new(dc, p, id, cfg.clone(), reg.clone(), metrics.clone());
-            dc_parts.push(sim.add_process_on(node, Box::new(proc)));
+            dc_parts.push(cluster.add_clocked(dc, proc));
         }
         partitions.push(dc_parts);
 
         let mut dc_replicas = Vec::new();
-        if id == SystemId::EunomiaKv {
+        if causal {
             for r in 0..cfg.replicas.max(1) {
-                let node = sim.add_node_with_clock(dc, draw_clock(&cfg, &mut clock_rng));
-                let proc = ReplicaProc::new(
-                    dc,
-                    ReplicaId(r as u32),
-                    cfg.clone(),
-                    reg.clone(),
-                    metrics.clone(),
-                );
-                dc_replicas.push(sim.add_process_on(node, Box::new(proc)));
+                let replica = ReplicaId(r as u32);
+                let proc = ReplicaProc::new(dc, replica, cfg.clone(), reg.clone(), metrics.clone());
+                dc_replicas.push(cluster.add_clocked(dc, proc));
             }
         }
-        eunomia.push(dc_replicas);
+        cluster.replicas.push(dc_replicas);
 
-        if id == SystemId::EunomiaKv {
-            let node = sim.add_node(dc);
+        // Eventual runs no receiver; the registry slot stays empty so a
+        // stray receiver-bound send fails loudly.
+        receivers.push(causal.then(|| {
             let proc = ReceiverProc::new(dc, cfg.clone(), reg.clone(), metrics.clone());
-            receivers.push(Some(sim.add_process_on(node, Box::new(proc))));
-        } else {
-            // Eventual runs no receiver; the registry slot stays empty so
-            // a stray receiver-bound send fails loudly.
-            receivers.push(None);
-        }
+            cluster.sim.add_process(dc, Box::new(proc))
+        }));
 
         for c in 0..cfg.clients_per_dc {
-            let node = sim.add_node(dc);
-            let client_id = (dc * cfg.clients_per_dc + c) as u32;
-            let proc =
-                ClientProc::new(dc, client_id, id, cfg.clone(), reg.clone(), metrics.clone());
-            clients.push(sim.add_process_on(node, Box::new(proc)));
+            cluster.add_client(dc, c, NativeSession::new(dc, cfg.n_dcs, causal));
         }
     }
 
-    // Timed fault schedule: link faults + partition-server pauses.
-    crate::faults::apply_faults(&cfg, &mut sim, &partitions);
-
+    cluster.set_partitions(partitions);
     {
         let mut r = reg.borrow_mut();
-        r.partitions = partitions;
-        r.eunomia = eunomia.clone();
+        r.eunomia = cluster.replicas.clone();
         r.receivers = receivers;
     }
 
     // Scheduled fault injection: crash the named Eunomia replicas.
     for crash in &cfg.crashes {
-        if let Some(&pid) = eunomia.get(crash.dc).and_then(|dc| dc.get(crash.replica)) {
-            sim.crash_at(pid, crash.at);
+        if let Some(&pid) = cluster
+            .replicas
+            .get(crash.dc)
+            .and_then(|dc| dc.get(crash.replica))
+        {
+            cluster.sim.crash_at(pid, crash.at);
         }
     }
-
-    Cluster {
-        sim,
-        metrics,
-        registry: reg,
-        clients,
-        replicas: eunomia,
-        cfg,
-    }
+    cluster
 }

@@ -190,6 +190,8 @@ pub struct ClusterConfig {
     /// datacenter (receivers advance `SiteTime` with metadata-only
     /// applies for keys they do not store); data ships only to the
     /// key's replica set. `None` = full replication (the paper's setting).
+    /// Native systems only (EunomiaKV, Eventual): building a baseline
+    /// with this set panics.
     pub replication_factor: Option<usize>,
     /// §5 "Communication Patterns": route partition metadata through a
     /// fan-in tree of the given arity instead of all-to-one. `None`
@@ -218,8 +220,9 @@ pub struct ClusterConfig {
     /// assigned version's LWW rank) in the metrics sink's session log,
     /// keyed by client. Feeds the per-client session-guarantee checks
     /// (read-your-writes, monotonic reads) of `tests/faults.rs`. Off by
-    /// default (the log grows with every operation); honoured by the
-    /// native systems (EunomiaKV, Eventual).
+    /// default (the log grows with every operation). Native systems only
+    /// (EunomiaKV, Eventual): the baselines' read replies name no origin
+    /// datacenter, so building a baseline with this set panics.
     pub track_sessions: bool,
     /// Open-loop client mode: `Some` makes every client issue operations
     /// on the configured arrival schedule (all six systems honour it);

@@ -2,8 +2,9 @@
 //!
 //! The run entry point itself lives in [`crate::system`] (`run(SystemId,
 //! &Scenario)`); this module holds the [`RunReport`] all systems produce
-//! and the [`make_report`] helper the baseline crate reuses so every
-//! figure compares like with like.
+//! and the [`make_report`] helper that every system's
+//! [`crate::cluster::Cluster::run`] ends with, so every figure compares
+//! like with like.
 
 use crate::config::ClusterConfig;
 use crate::faults;

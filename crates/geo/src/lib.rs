@@ -6,8 +6,11 @@
 //! This crate assembles the pieces of `eunomia-core` and `eunomia-kv` into
 //! running datacenters (§4 of the paper):
 //!
-//! * [`client::ClientProc`] — closed-loop clients with vector sessions
-//!   (Algorithm 1 / §4);
+//! * [`client::ClientProc`] — the one client process all six systems
+//!   run (closed- or open-loop), generic over a
+//!   [`client::ClientProtocol`]: the native session keeps
+//!   EunomiaKV's vector session (Algorithm 1 / §4) and Eventual's none,
+//!   `eunomia-baselines` supplies the baselines' session;
 //! * [`partition::PartitionProc`] — partition servers: timestamping,
 //!   batched metadata to the Eunomia replicas (§5), immediate data-path
 //!   shipping to sibling partitions, remote applies;
@@ -18,7 +21,10 @@
 //! * [`receiver::ReceiverProc`] — the per-datacenter receiver running the
 //!   FLUSH loop of Algorithm 5 (one outstanding APPLY, exactly as
 //!   published; a pipelined extension exists for the ablation bench);
-//! * [`cluster`] — wiring; [`harness`] — the shared [`RunReport`].
+//! * [`cluster`] — [`cluster::Cluster`], the scaffold every system's
+//!   builder shares (simulator, metrics sink, registry, clock draws,
+//!   clients, fault wiring, and the run→report epilogue), plus the
+//!   native builder; [`harness`] — the shared [`RunReport`].
 //!
 //! The same crate also builds the **Eventual** baseline (no causality:
 //! remote updates apply on arrival), which is the paper's normalization

@@ -37,11 +37,11 @@
 //! [`register_mc_runner`] (done by `eunomia_baselines::install()`),
 //! mirroring the [`crate::run`] registry.
 
-use crate::cluster;
+use crate::cluster::{self, Cluster};
 use crate::config::{ClusterConfig, CostModel};
 use crate::metrics::{ApplyRecord, GeoMetrics, SessionRecord};
 use crate::system::SystemId;
-use eunomia_sim::{units, McOptions, McStats, McTrace, McVerdict, ModelChecker, Simulation};
+use eunomia_sim::{units, McOptions, McStats, McTrace, McVerdict, ModelChecker};
 use eunomia_workload::WorkloadConfig;
 use std::collections::{HashMap, HashSet};
 use std::sync::{LazyLock, Mutex};
@@ -134,19 +134,23 @@ impl McScenario {
     /// Per-system tuning: the global-stabilization baselines need several
     /// timer rounds per update (clock pumping) so they run one op per
     /// client with a deeper timer budget; the rest run two ops per client.
+    /// Session guarantees are checked for the native systems only: the
+    /// baselines' read replies name no origin datacenter, so they keep no
+    /// session log (see `ClusterConfig::track_sessions`).
     pub fn certify(id: SystemId) -> Self {
         let (ops, timer_budget) = match id {
             SystemId::GentleRain | SystemId::Cure => (1, 8),
             SystemId::SSeq | SystemId::ASeq => (2, 4),
             SystemId::Eventual | SystemId::EunomiaKv => (2, 6),
         };
-        let cfg = mc_config(1, ops, 42);
+        let mut cfg = mc_config(1, ops, 42);
+        cfg.track_sessions = id.is_native();
         debug_assert!(cfg.validate().is_ok());
         McScenario {
             name: format!("certify-{}", id.label().to_ascii_lowercase()),
             cfg,
             check_causal: true,
-            check_sessions: true,
+            check_sessions: id.is_native(),
             check_convergence: true,
             options: McOptions {
                 max_timer_steps: timer_budget,
@@ -314,20 +318,25 @@ pub mod predicates {
     }
 }
 
-/// Runs the model checker over a cluster built by `factory` (which must
-/// also hand back the deployment's [`GeoMetrics`] as the predicate
-/// probe), under `sc`'s predicates and options. With `trace` the
-/// counterexample is replayed instead of searching. This is the shared
-/// driver both the native dispatch and the baseline runners go through.
+/// Runs the model checker over clusters of `id` that `build` assembles
+/// from `sc.cfg` (each cluster's metrics sink is the predicate probe),
+/// under `sc`'s predicates and options. With `trace` the counterexample
+/// is replayed instead of searching. This is the shared driver both the
+/// native dispatch and the baseline runners go through.
 pub fn drive<M>(
-    system: &str,
+    id: SystemId,
     sc: &McScenario,
-    factory: impl Fn() -> (Simulation<M>, GeoMetrics),
+    build: fn(SystemId, ClusterConfig) -> Cluster<M>,
     trace: Option<&McTrace>,
 ) -> McReport
 where
     M: std::hash::Hash + Clone,
 {
+    let cfg = sc.cfg.clone();
+    let factory = move || {
+        let cluster = build(id, cfg.clone());
+        (cluster.sim, cluster.metrics)
+    };
     let n_dcs = sc.cfg.n_dcs;
     let (causal, sessions, conv) = (sc.check_causal, sc.check_sessions, sc.check_convergence);
     let predicate = move |m: &GeoMetrics, phase: eunomia_sim::McPhase| -> Result<(), String> {
@@ -354,7 +363,7 @@ where
                 },
             };
             McReport {
-                system: system.to_string(),
+                system: id.label().to_string(),
                 scenario: sc.name.clone(),
                 verdict,
                 stats: McStats::default(),
@@ -370,7 +379,7 @@ where
             // covers the schedule space.
             let complete = sc.random.is_none() && out.stats.truncated == 0;
             McReport {
-                system: system.to_string(),
+                system: id.label().to_string(),
                 scenario: sc.name.clone(),
                 verdict: out.verdict,
                 stats: out.stats,
@@ -406,12 +415,7 @@ fn mc_runner_for(id: SystemId) -> Option<McSystemRunner> {
 
 fn mc_dispatch(id: SystemId, sc: &McScenario, trace: Option<&McTrace>) -> McReport {
     if id.is_native() {
-        let cfg = sc.cfg.clone();
-        let factory = move || {
-            let c = cluster::build(id, cfg.clone());
-            (c.sim, c.metrics)
-        };
-        return drive(id.label(), sc, factory, trace);
+        return drive(id, sc, cluster::build, trace);
     }
     let runner = mc_runner_for(id).unwrap_or_else(|| {
         panic!(

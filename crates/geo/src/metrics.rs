@@ -1,5 +1,6 @@
 //! Shared run metrics: throughput, operation latency, remote visibility.
 
+use crate::config::ClusterConfig;
 use eunomia_sim::SimTime;
 use eunomia_stats::{Histogram, LoadStats, TimeSeries};
 use std::cell::RefCell;
@@ -228,6 +229,22 @@ impl GeoMetrics {
         self.inner.borrow_mut().service_messages += 1;
     }
 
+    /// Creates the sink a run of `cfg` asks for: its datacenters, plus
+    /// the apply log, staleness tracking and session log it enables.
+    pub(crate) fn from_config(cfg: &ClusterConfig) -> Self {
+        let metrics = GeoMetrics::new(cfg.n_dcs);
+        if cfg.apply_log {
+            metrics.enable_apply_log();
+        }
+        if cfg.track_staleness {
+            metrics.enable_staleness_tracking();
+        }
+        if cfg.track_sessions {
+            metrics.enable_session_log();
+        }
+        metrics
+    }
+
     /// Messages received by Eunomia replicas so far.
     pub fn service_messages(&self) -> u64 {
         self.inner.borrow().service_messages
@@ -241,8 +258,7 @@ impl GeoMetrics {
 
     /// Turns on the per-client session log (off by default: it grows with
     /// every completed operation). Used by the session-guarantee checks
-    /// of `tests/faults.rs`; wired from `ClusterConfig::track_sessions`
-    /// for the native systems.
+    /// of `tests/faults.rs`; wired from `ClusterConfig::track_sessions`.
     pub fn enable_session_log(&self) {
         self.inner.borrow_mut().session_log_enabled = true;
     }

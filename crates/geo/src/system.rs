@@ -11,7 +11,7 @@
 
 use crate::cluster::build;
 use crate::config::ClusterConfig;
-use crate::harness::{make_report, RunReport};
+use crate::harness::RunReport;
 use crate::scenario::Scenario;
 use std::collections::HashMap;
 use std::fmt;
@@ -166,11 +166,7 @@ fn runner_for(id: SystemId) -> Option<SystemRunner> {
 pub fn run(id: SystemId, scenario: &Scenario) -> RunReport {
     let cfg = scenario.cfg().clone();
     if id.is_native() {
-        let mut cluster = build(id, cfg);
-        let duration = cluster.cfg.duration;
-        cluster.sim.run_until(duration);
-        let engine = cluster.sim.stats();
-        return make_report(id.label(), &cluster.metrics, &cluster.cfg, engine);
+        return build(id, cfg).run(id);
     }
     let runner = runner_for(id).unwrap_or_else(|| {
         panic!(

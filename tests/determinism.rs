@@ -8,7 +8,7 @@ use eunomia::{run, RunReport, Scenario, SystemId};
 
 /// Every deterministic field of a report, bit-exact. `engine.wall_ns` is
 /// real elapsed time and is deliberately excluded.
-fn fingerprint(r: &RunReport, n_dcs: u16) -> impl PartialEq + std::fmt::Debug {
+fn fingerprint(r: &RunReport, n_dcs: u16) -> impl PartialEq + std::fmt::Debug + std::hash::Hash {
     let vis: Vec<Vec<u64>> = (0..n_dcs)
         .flat_map(|a| (0..n_dcs).map(move |b| (a, b)))
         .map(|(a, b)| r.metrics.visibility_extras(a, b, 0, u64::MAX))
@@ -37,11 +37,39 @@ fn fingerprint(r: &RunReport, n_dcs: u16) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+/// The FNV-64 hash of [`fingerprint`], recorded below per system (in
+/// `SystemId::all()` order) on `small_test` seed 1234. Two runs of one
+/// build agreeing does not show that a refactor left the simulation
+/// alone; matching these constants does. A change meant to alter what is
+/// simulated updates them and says why.
+fn pinned_hash(r: &RunReport, n_dcs: u16) -> u64 {
+    eunomia::collections::hash_one(&fingerprint(r, n_dcs))
+}
+
+const PINNED_CLOSED_LOOP: [u64; 6] = [
+    1591360535179040506,
+    1964128839296755159,
+    2447180215907825713,
+    2683649731618255811,
+    10369761143545238934,
+    18287729910153814592,
+];
+
+/// As [`PINNED_CLOSED_LOOP`], under the Poisson open loop below.
+const PINNED_OPEN_LOOP: [u64; 6] = [
+    1490933867274564667,
+    2223278284888544470,
+    14736379718492726939,
+    3452860716999081085,
+    6834310495760368355,
+    3207448901438398884,
+];
+
 #[test]
 fn identical_runs_for_all_six_systems() {
     let scenario = Scenario::small_test().seed(1234);
     let n_dcs = scenario.cfg().n_dcs as u16;
-    for id in SystemId::all() {
+    for (id, pinned) in SystemId::all().into_iter().zip(PINNED_CLOSED_LOOP) {
         let a = run(id, &scenario);
         let b = run(id, &scenario);
         assert!(a.total_ops > 0, "{id}: empty run proves nothing");
@@ -49,6 +77,11 @@ fn identical_runs_for_all_six_systems() {
             fingerprint(&a, n_dcs),
             fingerprint(&b, n_dcs),
             "{id}: same (system, scenario, seed) must reproduce bit-identically"
+        );
+        assert_eq!(
+            pinned_hash(&a, n_dcs),
+            pinned,
+            "{id}: the run moved away from its pinned fingerprint"
         );
     }
 }
@@ -79,7 +112,7 @@ fn identical_open_loop_runs_for_all_six_systems() {
             l.queue_wait.count(),
         )
     };
-    for id in SystemId::all() {
+    for (id, pinned) in SystemId::all().into_iter().zip(PINNED_OPEN_LOOP) {
         let a = run(id, &scenario);
         let b = run(id, &scenario);
         assert!(a.total_ops > 0, "{id}: empty run proves nothing");
@@ -88,6 +121,11 @@ fn identical_open_loop_runs_for_all_six_systems() {
             fingerprint(&a, n_dcs),
             fingerprint(&b, n_dcs),
             "{id}: same-seed open-loop runs must reproduce bit-identically"
+        );
+        assert_eq!(
+            pinned_hash(&a, n_dcs),
+            pinned,
+            "{id}: the open-loop run moved away from its pinned fingerprint"
         );
         assert_eq!(
             load_print(&a),
