@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use eunomia_core::ids::{PartitionId, ReplicaId};
 use eunomia_core::sequencer::Sequencer;
-use eunomia_core::shard::{BatchFrame, LaneSender, ShardedReplicaState};
+use eunomia_core::shard::{BatchFrame, LaneSender, ShardedReplicaState, INITIAL_CREDIT};
 use eunomia_core::time::{Hlc, HlcTimestamp, ScalarHlc, Timestamp, VectorTime};
 use std::hint::black_box;
 use std::time::Duration;
@@ -38,29 +38,30 @@ fn clock_benches(c: &mut Criterion) {
     });
 }
 
+/// An id-only frame from `lane` carrying `ids`.
+fn frame(lane: u32, ids: Vec<Timestamp>) -> BatchFrame {
+    BatchFrame {
+        partition: PartitionId(lane),
+        payloads: vec![(); ids.len()],
+        ids,
+        heartbeat: None,
+    }
+}
+
 fn eunomia_benches(c: &mut Criterion) {
     c.bench_function("eunomia/replica_duplicate_filtering", |b| {
         // At-least-once delivery on the threaded hot path: half of each
         // batch frame was already seen, sliced off by the watermark dedup
-        // (this is the same `ShardedReplicaState::ingest` the fig2–fig4
-        // service figures and `perf_service` exercise).
+        // (this is the same `ShardedReplicaState::ingest_owned` the
+        // fig2–fig4 service figures and `perf_service` exercise).
         b.iter_with_setup(
             || {
                 let mut r = ShardedReplicaState::new(ReplicaId(0), 1);
-                let first = BatchFrame {
-                    partition: PartitionId(0),
-                    ids: (1..=512u64).map(Timestamp).collect(),
-                    heartbeat: None,
-                };
-                r.ingest(&first).unwrap();
-                let redelivery = BatchFrame {
-                    partition: PartitionId(0),
-                    ids: (256..=768u64).map(Timestamp).collect(),
-                    heartbeat: None,
-                };
-                (r, redelivery)
+                r.ingest_owned(frame(0, (1..=512u64).map(Timestamp).collect()))
+                    .unwrap();
+                (r, frame(0, (256..=768u64).map(Timestamp).collect()))
             },
-            |(mut r, redelivery)| black_box(r.ingest(&redelivery).unwrap()),
+            |(mut r, redelivery)| black_box(r.ingest_owned(redelivery).unwrap()),
         )
     });
     c.bench_function("eunomia/sharded_ingest_and_stabilize_16_lanes", |b| {
@@ -69,37 +70,41 @@ fn eunomia_benches(c: &mut Criterion) {
         b.iter_with_setup(
             || {
                 let frames: Vec<BatchFrame> = (0..16u32)
-                    .map(|lane| BatchFrame {
-                        partition: PartitionId(lane),
-                        ids: (1..=64u64)
-                            .map(|i| Timestamp(i * 100 + lane as u64))
-                            .collect(),
-                        heartbeat: None,
+                    .map(|lane| {
+                        let ids = (1..=64u64).map(|i| Timestamp(i * 100 + lane as u64));
+                        frame(lane, ids.collect())
                     })
                     .collect();
                 (ShardedReplicaState::new(ReplicaId(0), 16), frames)
             },
             |(mut r, frames)| {
-                for f in &frames {
-                    r.ingest(f).unwrap();
+                for f in frames {
+                    r.ingest_owned(f).unwrap();
                 }
                 let mut n = 0u64;
-                r.leader_process_stable_with(|_, _| n += 1);
+                r.leader_process_stable_up_to(Timestamp::MAX, |_, _| n += 1);
                 black_box(n)
             },
         )
     });
     c.bench_function("eunomia/lane_sender_frame_ack_cycle", |b| {
-        let mut sender = LaneSender::new(3);
+        let mut sender = LaneSender::new(3, INITIAL_CREDIT);
         let mut scratch: Vec<Timestamp> = Vec::with_capacity(64);
         let mut ts = 0u64;
         b.iter(|| {
             for _ in 0..64 {
                 ts += 1;
-                sender.push(Timestamp(ts));
+                sender.push(Timestamp(ts), ());
             }
-            scratch.clear();
-            sender.append_above(Timestamp(ts - 64), &mut scratch);
+            let frame = sender.build_frame(
+                PartitionId(0),
+                ReplicaId(0),
+                Timestamp(ts - 64),
+                None,
+                usize::MAX,
+                std::mem::take(&mut scratch),
+            );
+            scratch = frame.ids;
             for r in 0..3u32 {
                 sender.on_ack(ReplicaId(r), Timestamp(ts));
             }

@@ -13,15 +13,19 @@
 //!
 //! * [`time`] — scalar hybrid clocks (Alg. 2 line 5), structured HLC
 //!   (Kulkarni et al.), vector times with one entry per datacenter (§4).
-//! * [`buffer`] — the stabilization buffer: a totally ordered set of
-//!   unstable operations keyed by `(timestamp, partition)` (§6).
-//! * [`replica`] — the Eunomia service: replica state (Alg. 3 and its
-//!   fault-tolerant form, Alg. 4), the partition-side replicated sender
-//!   enforcing the prefix property, and leader-driven stable broadcast
-//!   (§3.1, §3.3).
-//! * [`shard`] — the sharded, flat-buffer variant of the replica used by
-//!   the threaded runtime's hot path: per-feeder lanes with watermark
-//!   dedup, a tournament tree over stable cutoffs, and id batches in
+//! * [`buffer`] — [`OpKey`], the `(timestamp, partition)` stabilization
+//!   order, and the prototype's ordered stabilization buffer (§6), kept
+//!   for the buffer ablations; the replica itself stores per-lane runs.
+//! * [`replica`] — the Eunomia service as the paper states it (Alg. 3
+//!   and its fault-tolerant form, Alg. 4): the prefix property, the
+//!   leader-driven stable broadcast (§3.1, §3.3), and
+//!   [`replica::ReplicaState`], the paper's name for the one replica
+//!   type.
+//! * [`shard`] — that replica and the partition-side sender, implemented
+//!   once for both drivers and generic over a per-id payload (`()` on the
+//!   threaded runtime's path, update metadata in the simulator):
+//!   per-feeder lanes with watermark dedup, a tournament tree over stable
+//!   cutoffs, credit-based flow control, and id batches in
 //!   [`shard::BatchFrame`]s (one allocation per batch).
 //! * [`election`] — an Ω-style eventual leader elector (§3.3 allows any
 //!   asynchronous leader election; we provide a timeout-based one).
@@ -64,6 +68,6 @@ pub mod tree;
 
 pub use buffer::{OpKey, StabilizationBuffer};
 pub use ids::{DcId, PartitionId, ReplicaId};
-pub use replica::{EunomiaError, ReplicaState, ReplicatedSender};
+pub use replica::{EunomiaError, ReplicaState};
 pub use shard::{BatchFrame, LaneSender, ShardedReplicaState};
 pub use time::{ScalarHlc, Timestamp, VectorTime};

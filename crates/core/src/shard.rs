@@ -1,12 +1,13 @@
-//! Sharded fault-tolerant Eunomia for the threaded runtime's hot path.
+//! The fault-tolerant Eunomia replica (Alg. 4) and its partition-side
+//! sender — the one implementation both drivers run.
 //!
-//! [`crate::replica::ReplicaState`] (Alg. 4 verbatim) keeps one global
-//! red-black tree keyed by `(timestamp, partition)` and pays an ordered
-//! insert plus a duplicate check **per id**. That is fine at simulator
-//! scale, but it is exactly the cost the paper says a stabilizer must not
-//! have: ids from one partition already arrive in timestamp order, so
-//! ordering them again against every other partition's ids — before the
-//! stable cutoff is even known — is wasted work.
+//! [`ShardedReplicaState`] and [`LaneSender`] are generic over a payload
+//! `T` carried beside every id. The threaded runtime uses `()` (the §5
+//! id-only metadata: a `Vec<()>` never allocates, so the payload compiles
+//! away); the simulator uses its per-update metadata record. The model
+//! checker therefore certifies the same state machine the service
+//! benchmark measures. [`crate::replica::ReplicaState`] names the same
+//! type.
 //!
 //! Audit note: this hot path is deliberately `unsafe`-free — the ring
 //! buffers and the tournament tree are plain indexed `Vec`s — and the
@@ -14,11 +15,13 @@
 //! `vendor/crossbeam`, where every block carries a `SAFETY:` comment and
 //! the `interleave` checker enumerates the ring's schedules).
 //!
-//! This module shards the replica into **per-feeder lanes**:
+//! Ids from one partition already arrive in timestamp order, so the
+//! replica never orders them against other partitions' ids before the
+//! stable cutoff is known. It keeps one **lane** per feeder partition:
 //!
-//! * Each lane keeps the feeder's ids in arrival (= timestamp) order in a
-//!   flat ring buffer, plus a **watermark** — the highest id accepted from
-//!   that feeder. At-least-once redelivery is filtered by slicing a
+//! * Each lane keeps the feeder's ids in arrival (= timestamp) order,
+//!   plus a **watermark** — the highest id accepted from that feeder (its
+//!   `PartitionTime`). At-least-once redelivery is filtered by slicing a
 //!   frame's already-seen prefix off with one binary search instead of a
 //!   per-id map probe: the ack protocol (see [`LaneSender`]) guarantees a
 //!   frame is a contiguous suffix of the feeder's ordered stream.
@@ -28,12 +31,14 @@
 //! * Ids travel in [`BatchFrame`]s — one flat allocation per batch, not
 //!   one per id, and the frame is reusable end to end.
 //!
-//! Stabilization drains each lane's stable prefix in place; ids of one
-//! lane are emitted in timestamp order, lanes are emitted in lane order
-//! (the global timestamp-sorted order of
-//! [`ReplicaState`](crate::replica::ReplicaState) is not needed by
-//! the service: stabilized ids are acknowledged back to their own feeder,
-//! and the stable *time* is what remote datacenters consume).
+//! Stabilization drains each lane's stable prefix in place. Two drain
+//! orders exist. [`ShardedReplicaState::leader_process_stable`] emits in
+//! the global `(timestamp, partition)` [`OpKey`] order of Alg. 3 by
+//! sorting the lanes' already-sorted runs; remote receivers depend on it.
+//! [`ShardedReplicaState::leader_process_stable_up_to`] emits lane by lane
+//! and sorts nothing: the service acknowledges stabilized ids back to
+//! their own feeder, and the stable *time* is what remote datacenters
+//! consume.
 //!
 //! # The credit/watermark flow-control protocol
 //!
@@ -100,15 +105,22 @@
 //! `queue_fill` is the ingest ring's occupancy. Backlog throttles lanes
 //! that outrun stabilization; queue fill throttles everyone when the
 //! replica itself falls behind.
+//!
+//! The simulator's replicas never send grants: its senders start with
+//! unlimited credit (see [`LaneSender::new`]), so every `(lane, replica)`
+//! pair stays `OPEN` and each frame is the whole window above the
+//! replica's ack — Alg. 4's resend-from-the-ack rule.
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+use crate::buffer::OpKey;
 use crate::ids::{PartitionId, ReplicaId};
 use crate::replica::EunomiaError;
 use crate::time::Timestamp;
 use eunomia_collections::TournamentTree;
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
 /// Credit a lane starts with before its first grant arrives: optimistic
 /// enough that first contact is not throttled (one default feeder window),
@@ -137,37 +149,38 @@ pub struct CreditGrant {
     pub pressure: u8,
 }
 
-/// One flat batch of operation ids from a feeder lane: the §5 id-only
-/// metadata, one allocation per batch.
+/// One flat batch of operation ids from a feeder lane, each with its
+/// payload: the §5 id-only metadata when `T = ()`, one allocation per
+/// batch.
 ///
 /// Invariants (upheld by [`LaneSender::build_frame`], debug-asserted at
-/// ingest): `ids` is strictly ascending, and together with the receiving
-/// lane's watermark it forms a contiguous suffix of the feeder's stream —
-/// every unacknowledged id above some floor is present.
+/// ingest): `ids` is strictly ascending, `payloads[i]` belongs to
+/// `ids[i]`, and together with the receiving lane's watermark the ids form
+/// a contiguous suffix of the feeder's stream — every unacknowledged id
+/// above some floor is present.
 #[derive(Clone, Debug, Default)]
-pub struct BatchFrame {
+pub struct BatchFrame<T = ()> {
     /// The sending feeder lane.
     pub partition: PartitionId,
     /// Operation ids, strictly ascending.
     pub ids: Vec<Timestamp>,
+    /// One payload per id, parallel to `ids` (a `Vec<()>` never
+    /// allocates).
+    pub payloads: Vec<T>,
     /// Optional idle heartbeat (Alg. 2 l. 10–12), `>=` every id in `ids`.
     pub heartbeat: Option<Timestamp>,
 }
 
-/// One ingested frame's ids, adopted whole into a lane's backlog;
-/// `start` marks the prefix already drained (or deduplicated on entry).
-struct Chunk {
+/// One ingested frame, adopted whole into a lane's backlog; `start` marks
+/// the prefix of `ids` already drained (or deduplicated on entry), and
+/// `payloads` holds exactly the live ids' payloads.
+struct Chunk<T> {
     ids: Vec<Timestamp>,
+    payloads: Vec<T>,
     start: usize,
 }
 
-impl Chunk {
-    fn live(&self) -> &[Timestamp] {
-        &self.ids[self.start..]
-    }
-}
-
-struct Lane {
+struct Lane<T> {
     /// Highest id accepted from this feeder (its `PartitionTime`).
     watermark: Timestamp,
     /// Accepted, not-yet-stable ids in timestamp order, as a queue of
@@ -175,23 +188,22 @@ struct Lane {
     /// O(log frame) — no per-id copy into a flat buffer whose tail goes
     /// cache-cold as the lane count grows — and lets followers discard
     /// stable prefixes chunk-at-a-time with a binary search each.
-    pending: VecDeque<Chunk>,
+    pending: VecDeque<Chunk<T>>,
     /// Live (undrained) ids across `pending`.
     backlog: usize,
 }
 
-/// One replica of the sharded Eunomia service.
+/// One replica of the fault-tolerant Eunomia service (Alg. 4), buffering
+/// a payload `T` with every accepted id.
 ///
-/// Semantically equivalent to [`ReplicaState`] over id-only payloads: same
-/// ack values, same stable times, same leader/follower split. The
-/// difference is purely mechanical — per-lane watermark dedup and ring
-/// buffers instead of a global ordered map.
-///
-/// [`ReplicaState`]: crate::replica::ReplicaState
-pub struct ShardedReplicaState {
+/// Acks are per-lane watermarks, the stable time is the minimum
+/// watermark, the leader drains and broadcasts, followers discard what
+/// the leader announced, and a promoted follower resumes from
+/// `last_stable`, so nothing is emitted twice and nothing is lost.
+pub struct ShardedReplicaState<T = ()> {
     id: ReplicaId,
     leader: ReplicaId,
-    lanes: Vec<Lane>,
+    lanes: Vec<Lane<T>>,
     /// Min over lane watermarks = the stable cutoff.
     cutoffs: TournamentTree<Timestamp>,
     last_stable: Timestamp,
@@ -200,7 +212,7 @@ pub struct ShardedReplicaState {
     total_duplicates: u64,
 }
 
-impl ShardedReplicaState {
+impl<T> ShardedReplicaState<T> {
     /// Creates replica `id` with one lane per feeder partition; replica 0
     /// starts as leader by convention.
     ///
@@ -232,47 +244,47 @@ impl ShardedReplicaState {
         self.id
     }
 
-    /// Ingests a frame (the sharded `NEW_BATCH` + `HEARTBEAT`): slices off
-    /// the already-seen prefix, appends the rest to the lane, advances the
-    /// watermark, and returns the ack — the lane's new watermark.
-    ///
-    /// Borrowing form of [`ingest_owned`](Self::ingest_owned); it clones
-    /// the frame's ids, so hot paths that are done with the frame should
-    /// pass it by value instead.
-    pub fn ingest(&mut self, frame: &BatchFrame) -> Result<Timestamp, EunomiaError> {
-        self.ingest_owned(frame.clone())
-    }
-
-    /// [`ingest`](Self::ingest), adopting the frame's allocation: the id
-    /// vector moves into the lane's backlog as one chunk instead of being
-    /// copied id-by-id, so ingest cost is a binary search plus a pointer
-    /// move no matter how many lanes are cache-cold.
-    pub fn ingest_owned(&mut self, frame: BatchFrame) -> Result<Timestamp, EunomiaError> {
-        let idx = frame.partition.index();
+    /// Ingests a frame (`NEW_BATCH` + `HEARTBEAT`, Alg. 4 l. 1–5): slices
+    /// off the already-seen prefix, adopts the rest of the frame's
+    /// allocation as one chunk of the lane's backlog, advances the
+    /// watermark, and returns the ack — the lane's new watermark. Ingest
+    /// cost is a binary search plus a pointer move no matter how many
+    /// lanes are cache-cold.
+    pub fn ingest_owned(&mut self, frame: BatchFrame<T>) -> Result<Timestamp, EunomiaError> {
+        let BatchFrame {
+            partition,
+            ids,
+            mut payloads,
+            heartbeat,
+        } = frame;
+        let idx = partition.index();
         let lane = self
             .lanes
             .get_mut(idx)
-            .ok_or(EunomiaError::UnknownPartition(frame.partition))?;
+            .ok_or(EunomiaError::UnknownPartition(partition))?;
         debug_assert!(
-            frame.ids.windows(2).all(|w| w[0] < w[1]),
+            ids.windows(2).all(|w| w[0] < w[1]),
             "frame ids must be strictly ascending"
         );
+        debug_assert_eq!(ids.len(), payloads.len(), "one payload per id");
         // At-least-once dedup in one binary search: everything at or below
         // the watermark was delivered before.
-        let fresh_from = frame.ids.partition_point(|&ts| ts <= lane.watermark);
-        let fresh_n = frame.ids.len() - fresh_from;
+        let fresh_from = ids.partition_point(|&ts| ts <= lane.watermark);
+        let fresh_n = ids.len() - fresh_from;
         self.total_duplicates += fresh_from as u64;
         self.total_accepted += fresh_n as u64;
         if fresh_n > 0 {
-            lane.watermark = *frame.ids.last().expect("fresh_n > 0");
+            lane.watermark = *ids.last().expect("fresh_n > 0");
             self.pending += fresh_n;
             lane.backlog += fresh_n;
+            payloads.drain(..fresh_from);
             lane.pending.push_back(Chunk {
-                ids: frame.ids,
+                ids,
+                payloads,
                 start: fresh_from,
             });
         }
-        if let Some(hb) = frame.heartbeat {
+        if let Some(hb) = heartbeat {
             debug_assert!(
                 fresh_n == 0 || hb >= lane.watermark,
                 "heartbeat must dominate the frame's ids"
@@ -285,7 +297,38 @@ impl ShardedReplicaState {
         Ok(lane.watermark)
     }
 
-    /// `NEW_LEADER`.
+    /// `NEW_BATCH` from a timestamp-ordered batch of `(id, payload)`
+    /// pairs: [`ingest_owned`](Self::ingest_owned) without a heartbeat.
+    pub fn new_batch(
+        &mut self,
+        partition: PartitionId,
+        batch: impl IntoIterator<Item = (Timestamp, T)>,
+    ) -> Result<Timestamp, EunomiaError> {
+        let (ids, payloads) = batch.into_iter().unzip();
+        self.ingest_owned(BatchFrame {
+            partition,
+            ids,
+            payloads,
+            heartbeat: None,
+        })
+    }
+
+    /// Heartbeat from an idle partition (Alg. 2 l. 10–12); returns the
+    /// ack.
+    pub fn heartbeat(
+        &mut self,
+        partition: PartitionId,
+        ts: Timestamp,
+    ) -> Result<Timestamp, EunomiaError> {
+        self.ingest_owned(BatchFrame {
+            partition,
+            ids: Vec::new(),
+            payloads: Vec::new(),
+            heartbeat: Some(ts),
+        })
+    }
+
+    /// `NEW_LEADER` (Alg. 4 l. 16–17).
     pub fn set_leader(&mut self, leader: ReplicaId) {
         self.leader = leader;
     }
@@ -306,20 +349,40 @@ impl ShardedReplicaState {
         *self.cutoffs.min()
     }
 
-    /// Leader-side `PROCESS_STABLE`: drains every id at or below the
-    /// stable cutoff, invoking `emit(lane, id)` per id (ids of a lane in
-    /// timestamp order, lanes in index order), and returns the new stable
-    /// time — or `None` if this replica is not the leader or the cutoff
-    /// has not advanced.
-    pub fn leader_process_stable_with(
-        &mut self,
-        emit: impl FnMut(PartitionId, Timestamp),
-    ) -> Option<Timestamp> {
-        self.leader_process_stable_up_to(Timestamp::MAX, emit)
+    /// The time a leader may drain to, `min(cutoff, stable_time())`, or
+    /// `None` if this replica is not the leader or that time has not
+    /// advanced past `last_stable`.
+    fn leader_cutoff(&self, cutoff: Timestamp) -> Option<Timestamp> {
+        let stable = self.stable_time().min(cutoff);
+        (self.is_leader() && stable > self.last_stable).then_some(stable)
     }
 
-    /// [`leader_process_stable_with`], bounded by an external `cutoff`:
-    /// drains ids at or below `min(cutoff, stable_time())`.
+    /// Leader-side `PROCESS_STABLE` (Alg. 4 l. 6–12): drains every
+    /// operation at or below the stable time into `out` in global
+    /// `(timestamp, partition)` order and returns the stable time to
+    /// broadcast — or `None` if this replica is not the leader or the
+    /// stable time has not advanced.
+    pub fn leader_process_stable(&mut self, out: &mut Vec<(OpKey, T)>) -> Option<Timestamp> {
+        let stable = self.leader_cutoff(Timestamp::MAX)?;
+        let from = out.len();
+        self.drain_runs(stable, |p, ids, payloads| {
+            out.extend(
+                ids.iter()
+                    .zip(payloads)
+                    .map(|(&ts, payload)| (OpKey::new(ts, p), payload)),
+            );
+        });
+        // Each lane's run is already sorted; the stable sort merges the
+        // runs instead of re-sorting them.
+        out[from..].sort_by_key(|(key, _)| *key);
+        self.last_stable = stable;
+        Some(stable)
+    }
+
+    /// Leader-side `PROCESS_STABLE` bounded by an external `cutoff`:
+    /// drains ids at or below `min(cutoff, stable_time())`, invoking
+    /// `emit(lane, id)` per id (ids of a lane in timestamp order, lanes in
+    /// index order, payloads dropped), and returns the new stable time.
     ///
     /// This is the sharded-stabilizer entry point. When a replica's lane
     /// table is split across several stabilizer threads, each shard's
@@ -328,65 +391,58 @@ impl ShardedReplicaState {
     /// published per-shard minima into that global cutoff and each shard
     /// drains its own lanes up to it — never past its local minimum, and
     /// never past what the other shards have confirmed.
-    ///
-    /// [`leader_process_stable_with`]: Self::leader_process_stable_with
     pub fn leader_process_stable_up_to(
         &mut self,
         cutoff: Timestamp,
         mut emit: impl FnMut(PartitionId, Timestamp),
     ) -> Option<Timestamp> {
-        if !self.is_leader() {
-            return None;
-        }
-        let stable = self.stable_time().min(cutoff);
-        if stable <= self.last_stable {
-            return None;
-        }
-        for (idx, lane) in self.lanes.iter_mut().enumerate() {
-            let p = PartitionId(idx as u32);
-            // Chunk-batched drain: binary-search each chunk's stable
-            // prefix, emit it, and release whole chunks as they empty.
-            while let Some(chunk) = lane.pending.front_mut() {
-                let live = chunk.live();
-                let n = live.partition_point(|&ts| ts <= stable);
-                if n == 0 {
-                    break;
-                }
-                for &ts in &live[..n] {
-                    emit(p, ts);
-                }
-                chunk.start += n;
-                lane.backlog -= n;
-                self.pending -= n;
-                if chunk.start == chunk.ids.len() {
-                    lane.pending.pop_front();
-                } else {
-                    break;
-                }
+        let stable = self.leader_cutoff(cutoff)?;
+        self.drain_runs(stable, |p, ids, _| {
+            for &ts in ids {
+                emit(p, ts);
             }
-        }
+        });
         self.last_stable = stable;
         Some(stable)
     }
 
-    /// Follower-side `STABLE`: discards ids the leader already processed.
-    /// Returns how many were discarded.
+    /// Follower-side `STABLE` (Alg. 4 l. 13–15): discards operations the
+    /// leader already processed. Returns how many were discarded.
     pub fn apply_stable(&mut self, stable: Timestamp) -> usize {
         if stable <= self.last_stable {
             return 0;
         }
-        let mut discarded = 0;
-        for lane in &mut self.lanes {
-            // Followers never read the ids: a binary search per chunk
-            // finds the stable prefix and whole chunks drop unread.
+        self.last_stable = stable;
+        self.drain_runs(stable, |_, _, _| {})
+    }
+
+    /// Removes every live id at or below `stable`, handing each lane's
+    /// stable run (its ids, then a draining iterator over their payloads)
+    /// to `emit`. Returns how many ids were removed.
+    fn drain_runs(
+        &mut self,
+        stable: Timestamp,
+        mut emit: impl FnMut(PartitionId, &[Timestamp], std::vec::Drain<'_, T>),
+    ) -> usize {
+        let mut drained = 0;
+        for (idx, lane) in self.lanes.iter_mut().enumerate() {
+            // Chunk-batched drain: binary-search each chunk's stable
+            // prefix, hand it over, and release whole chunks as they
+            // empty.
             while let Some(chunk) = lane.pending.front_mut() {
-                let n = chunk.live().partition_point(|&ts| ts <= stable);
+                let live = &chunk.ids[chunk.start..];
+                let n = live.partition_point(|&ts| ts <= stable);
                 if n == 0 {
                     break;
                 }
+                emit(
+                    PartitionId(idx as u32),
+                    &live[..n],
+                    chunk.payloads.drain(..n),
+                );
                 chunk.start += n;
                 lane.backlog -= n;
-                discarded += n;
+                drained += n;
                 if chunk.start == chunk.ids.len() {
                     lane.pending.pop_front();
                 } else {
@@ -394,9 +450,8 @@ impl ShardedReplicaState {
                 }
             }
         }
-        self.pending -= discarded;
-        self.last_stable = stable;
-        discarded
+        self.pending -= drained;
+        drained
     }
 
     /// Number of buffered (accepted, unstable) ids.
@@ -468,46 +523,96 @@ impl ShardedReplicaState {
     }
 }
 
-/// Feeder-side window of unacknowledged ids with per-replica watermark
-/// acks and credit windows — the id-only, flat-buffer counterpart of
-/// [`crate::replica::ReplicatedSender`].
+impl<T: Hash> ShardedReplicaState<T> {
+    /// Folds this replica's protocol state into `h` for model-checking
+    /// state hashing: lane watermarks, the live buffered `(OpKey,
+    /// payload)` set (lane by lane, each in timestamp order — canonical),
+    /// leadership, the stable watermark and the accepted/duplicate
+    /// counters. Chunk boundaries and drain offsets are buffer layout,
+    /// not protocol state, and stay out.
+    pub fn state_digest(&self, mut h: &mut dyn Hasher) {
+        h.write_u32(self.id.0);
+        for lane in &self.lanes {
+            h.write_u64(lane.watermark.0);
+        }
+        for (idx, lane) in self.lanes.iter().enumerate() {
+            let p = PartitionId(idx as u32);
+            for chunk in &lane.pending {
+                for (&ts, payload) in chunk.ids[chunk.start..].iter().zip(&chunk.payloads) {
+                    (OpKey::new(ts, p), payload).hash(&mut h);
+                }
+            }
+        }
+        h.write_u32(self.leader.0);
+        h.write_u64(self.last_stable.0);
+        h.write_u64(self.total_accepted);
+        h.write_u64(self.total_duplicates);
+    }
+}
+
+/// Partition-side sender that maintains the prefix property (§3.3): a
+/// window of ids (each with its payload) not yet acknowledged by every
+/// *live* replica, with per-replica watermark acks and credit windows.
 ///
 /// The window is a ring of strictly ascending ids. Because acks are
-/// watermarks and the window is ordered, building the retransmission
-/// frame for a replica is one binary search plus a bulk copy, and pruning
-/// is popping a prefix. Per replica the sender additionally tracks the
-/// highest id *shipped* ([`note_sent`]) and the latest [`CreditGrant`],
-/// and [`build_frame`] never emits ids past `ack + credit` — the sender
-/// half of the flow-control state machine in the module docs.
+/// watermarks and the window is ordered, building the frame for a replica
+/// is one binary search plus a bulk copy, and pruning is popping a
+/// prefix. A replica that lost frames receives their ids again; it drops
+/// duplicates by watermark. Per replica the sender additionally tracks
+/// the highest id *shipped* ([`note_sent`]) and the latest
+/// [`CreditGrant`], and [`build_frame`] never emits ids past `ack +
+/// credit` — the sender half of the flow-control state machine in the
+/// module docs.
 ///
 /// [`note_sent`]: LaneSender::note_sent
 /// [`build_frame`]: LaneSender::build_frame
 #[derive(Clone, Debug)]
-pub struct LaneSender {
-    window: VecDeque<Timestamp>,
-    acks: Vec<Timestamp>,
-    alive: Vec<bool>,
-    /// Latest advertised credit per replica (ids allowed beyond its ack).
-    credits: Vec<u32>,
-    /// Highest id shipped to each replica (floor for "new ids only").
-    sent: Vec<Timestamp>,
+pub struct LaneSender<T = ()> {
+    /// Unacknowledged ids with their payloads, strictly ascending.
+    window: VecDeque<(Timestamp, T)>,
+    replicas: Vec<ReplicaView>,
+    /// Credit every replica holds before its first grant and again after
+    /// [`mark_alive`](LaneSender::mark_alive).
+    initial_credit: u32,
 }
 
-impl LaneSender {
-    /// Creates a sender replicating to `n_replicas` replicas; every lane
-    /// starts `OPEN` with [`INITIAL_CREDIT`].
+/// A sender's view of one replica.
+#[derive(Clone, Copy, Debug)]
+struct ReplicaView {
+    /// Highest watermark the replica acknowledged (`Ack_n[f]`).
+    ack: Timestamp,
+    /// Highest id shipped to it (floor for "new ids only").
+    sent: Timestamp,
+    /// Latest advertised credit (ids allowed beyond `ack`).
+    credit: u32,
+    /// Whether its ack pins the window.
+    alive: bool,
+}
+
+impl<T: Clone> LaneSender<T> {
+    /// Creates a sender replicating to `n_replicas` replicas; every
+    /// replica starts `OPEN` with `initial_credit`. The threaded service
+    /// passes [`INITIAL_CREDIT`]; the simulator, whose replicas never send
+    /// grants, passes `u32::MAX` so every frame is the whole window above
+    /// the replica's ack.
     ///
     /// # Panics
     ///
     /// Panics if `n_replicas` is zero.
-    pub fn new(n_replicas: usize) -> Self {
+    pub fn new(n_replicas: usize, initial_credit: u32) -> Self {
         assert!(n_replicas > 0, "need at least one replica");
         LaneSender {
             window: VecDeque::new(),
-            acks: vec![Timestamp::ZERO; n_replicas],
-            alive: vec![true; n_replicas],
-            credits: vec![INITIAL_CREDIT; n_replicas],
-            sent: vec![Timestamp::ZERO; n_replicas],
+            replicas: vec![
+                ReplicaView {
+                    ack: Timestamp::ZERO,
+                    sent: Timestamp::ZERO,
+                    credit: initial_credit,
+                    alive: true,
+                };
+                n_replicas
+            ],
+            initial_credit,
         }
     }
 
@@ -516,46 +621,50 @@ impl LaneSender {
     fn count_le(&self, ts: Timestamp) -> usize {
         let (a, b) = self.window.as_slices();
         match a.last() {
-            Some(&last) if ts < last => a.partition_point(|&x| x <= ts),
-            _ => a.len() + b.partition_point(|&x| x <= ts),
+            Some(&(last, _)) if ts < last => a.partition_point(|&(x, _)| x <= ts),
+            _ => a.len() + b.partition_point(|&(x, _)| x <= ts),
         }
     }
 
-    /// Bulk-copies `window[start..end]` into `out`.
-    fn copy_range(&self, start: usize, end: usize, out: &mut Vec<Timestamp>) {
+    /// Appends window entries `start..end` to `ids` and `payloads`: bulk
+    /// copies out of the deque's two slices.
+    fn copy_range(
+        &self,
+        start: usize,
+        end: usize,
+        ids: &mut Vec<Timestamp>,
+        payloads: &mut Vec<T>,
+    ) {
         let (a, b) = self.window.as_slices();
-        if start < a.len() {
-            out.extend_from_slice(&a[start..end.min(a.len())]);
-        }
-        if end > a.len() {
-            out.extend_from_slice(&b[start.saturating_sub(a.len())..end - a.len()]);
+        let split = a.len();
+        let runs = [
+            &a[start.min(split)..end.min(split)],
+            &b[start.saturating_sub(split)..end.saturating_sub(split)],
+        ];
+        for run in runs {
+            ids.extend(run.iter().map(|&(ts, _)| ts));
+            payloads.extend(run.iter().map(|(_, payload)| payload.clone()));
         }
     }
 
-    /// Appends a freshly issued id to the window.
+    /// Appends a freshly issued id and its payload to the window.
     ///
     /// # Panics
     ///
     /// Panics (debug) unless `ts` exceeds the window's newest id — the
     /// caller's clock must be monotone (Property 2).
-    pub fn push(&mut self, ts: Timestamp) {
+    pub fn push(&mut self, ts: Timestamp, payload: T) {
         debug_assert!(
-            self.window.back().is_none_or(|&last| ts > last),
+            self.window.back().is_none_or(|&(last, _)| ts > last),
             "pushed ids must strictly increase"
         );
-        self.window.push_back(ts);
-    }
-
-    /// Appends every windowed id above `floor` to `out` in timestamp
-    /// order: one binary search, then bulk copies.
-    pub fn append_above(&self, floor: Timestamp, out: &mut Vec<Timestamp>) {
-        self.copy_range(self.count_le(floor), self.window.len(), out);
+        self.window.push_back((ts, payload));
     }
 
     /// Builds the frame for `replica` reusing `ids`'s allocation: windowed
-    /// ids above `max(ack, floor)`, truncated to the replica's remaining
-    /// credit window (never past `ack + credit` ids) and to `max_ids`,
-    /// plus the heartbeat.
+    /// ids above `max(ack, floor)` with their payloads, truncated to the
+    /// replica's remaining credit window (never past `ack + credit` ids)
+    /// and to `max_ids`, plus the heartbeat.
     pub fn build_frame(
         &self,
         partition: PartitionId,
@@ -564,24 +673,26 @@ impl LaneSender {
         heartbeat: Option<Timestamp>,
         max_ids: usize,
         mut ids: Vec<Timestamp>,
-    ) -> BatchFrame {
+    ) -> BatchFrame<T> {
         ids.clear();
-        let r = replica.index();
-        let ack_idx = self.count_le(self.acks[r]);
-        let start = if floor > self.acks[r] {
+        let view = self.replicas[replica.index()];
+        let ack_idx = self.count_le(view.ack);
+        let start = if floor > view.ack {
             self.count_le(floor)
         } else {
             ack_idx
         };
         let end = ack_idx
-            .saturating_add(self.credits[r] as usize)
+            .saturating_add(view.credit as usize)
             .min(self.window.len())
             .min(start.saturating_add(max_ids))
             .max(start);
-        self.copy_range(start, end, &mut ids);
+        let mut payloads = Vec::with_capacity(end - start);
+        self.copy_range(start, end, &mut ids, &mut payloads);
         BatchFrame {
             partition,
             ids,
+            payloads,
             heartbeat,
         }
     }
@@ -590,10 +701,8 @@ impl LaneSender {
     /// unchanged — and prunes ids acknowledged by every live replica.
     /// Returns the number pruned.
     pub fn on_ack(&mut self, replica: ReplicaId, ts: Timestamp) -> usize {
-        let slot = &mut self.acks[replica.index()];
-        if ts > *slot {
-            *slot = ts;
-        }
+        let view = &mut self.replicas[replica.index()];
+        view.ack = view.ack.max(ts);
         self.prune()
     }
 
@@ -601,90 +710,94 @@ impl LaneSender {
     /// advance), replaces the credit (latest wins — pressure may shrink
     /// it), and prunes. Returns the number of ids pruned.
     pub fn on_grant(&mut self, grant: CreditGrant) -> usize {
-        self.credits[grant.replica.index()] = grant.credit;
+        self.replicas[grant.replica.index()].credit = grant.credit;
         self.on_ack(grant.replica, grant.ack)
     }
 
     /// Records that every id up to `ts` has been shipped to `replica`.
     pub fn note_sent(&mut self, replica: ReplicaId, ts: Timestamp) {
-        let slot = &mut self.sent[replica.index()];
-        if ts > *slot {
-            *slot = ts;
-        }
+        let view = &mut self.replicas[replica.index()];
+        view.sent = view.sent.max(ts);
     }
 
     /// Highest id shipped to `replica` — the frame floor for "new ids
     /// only" sends.
     pub fn sent_of(&self, replica: ReplicaId) -> Timestamp {
-        self.sent[replica.index()]
+        self.replicas[replica.index()].sent
     }
 
     /// Latest credit advertised by `replica`.
     pub fn credit_of(&self, replica: ReplicaId) -> u32 {
-        self.credits[replica.index()]
+        self.replicas[replica.index()].credit
     }
 
     /// Ids shipped to `replica` but not yet acknowledged by it.
     pub fn in_flight(&self, replica: ReplicaId) -> usize {
-        let r = replica.index();
-        self.count_le(self.sent[r])
-            .saturating_sub(self.count_le(self.acks[r]))
+        let view = self.replicas[replica.index()];
+        self.count_le(view.sent)
+            .saturating_sub(self.count_le(view.ack))
     }
 
     /// Unshipped ids that fit in `replica`'s remaining credit window —
     /// how many *new* ids the next frame may carry.
     pub fn sendable(&self, replica: ReplicaId) -> usize {
-        let r = replica.index();
-        self.count_le(self.acks[r])
-            .saturating_add(self.credits[r] as usize)
+        let view = self.replicas[replica.index()];
+        self.count_le(view.ack)
+            .saturating_add(view.credit as usize)
             .min(self.window.len())
-            .saturating_sub(self.count_le(self.sent[r]))
+            .saturating_sub(self.count_le(view.sent))
     }
 
     /// Whether the lane is credit-starved for `replica`: unshipped ids
     /// exist but the credit window (`EXHAUSTED` in the module docs'
     /// state machine) admits none of them.
     pub fn starved(&self, replica: ReplicaId) -> bool {
-        self.count_le(self.sent[replica.index()]) < self.window.len() && self.sendable(replica) == 0
+        let sent = self.replicas[replica.index()].sent;
+        self.count_le(sent) < self.window.len() && self.sendable(replica) == 0
     }
 
     /// Marks a replica as crashed: its stalled ack no longer pins the
     /// window. Returns the number of ids pruned as a result.
     pub fn mark_dead(&mut self, replica: ReplicaId) -> usize {
-        self.alive[replica.index()] = false;
+        self.replicas[replica.index()].alive = false;
         self.prune()
     }
 
-    /// Marks a replica live again; it re-acks from the window's low
-    /// watermark (a recovered replica rejoins by state transfer, not
-    /// replay — same contract as `ReplicatedSender::mark_alive`) with a
-    /// fresh [`INITIAL_CREDIT`] and nothing considered shipped.
+    /// Marks a replica live again. It re-acks from the window's low
+    /// watermark — the window can no longer guarantee arbitrarily old
+    /// history, which matches the paper's model where a recovered replica
+    /// rejoins by state transfer, not by replay — with this sender's
+    /// initial credit and nothing considered shipped.
     pub fn mark_alive(&mut self, replica: ReplicaId) {
-        let r = replica.index();
-        self.alive[r] = true;
-        self.acks[r] = self.low_watermark();
-        self.credits[r] = INITIAL_CREDIT;
-        self.sent[r] = self.acks[r];
+        let ack = self.low_watermark();
+        self.replicas[replica.index()] = ReplicaView {
+            ack,
+            sent: ack,
+            credit: self.initial_credit,
+            alive: true,
+        };
     }
 
     fn low_watermark(&self) -> Timestamp {
         self.window.front().map_or_else(
-            || self.acks.iter().copied().max().unwrap_or(Timestamp::ZERO),
-            |&ts| Timestamp(ts.0.saturating_sub(1)),
+            || {
+                let acks = self.replicas.iter().map(|v| v.ack);
+                acks.max().unwrap_or(Timestamp::ZERO)
+            },
+            |&(ts, _)| Timestamp(ts.0.saturating_sub(1)),
         )
     }
 
     fn prune(&mut self) -> usize {
         let min_ack = self
-            .acks
+            .replicas
             .iter()
-            .zip(self.alive.iter())
-            .filter(|(_, alive)| **alive)
-            .map(|(a, _)| *a)
+            .filter(|v| v.alive)
+            .map(|v| v.ack)
             .min()
             .unwrap_or(Timestamp::MAX);
         let mut pruned = 0;
-        while self.window.front().is_some_and(|&ts| ts <= min_ack) {
+        while self.window.front().is_some_and(|&(ts, _)| ts <= min_ack) {
             self.window.pop_front();
             pruned += 1;
         }
@@ -698,7 +811,25 @@ impl LaneSender {
 
     /// Highest watermark ack recorded for `replica`.
     pub fn ack_of(&self, replica: ReplicaId) -> Timestamp {
-        self.acks[replica.index()]
+        self.replicas[replica.index()].ack
+    }
+}
+
+impl<T: Clone + Hash> LaneSender<T> {
+    /// Folds the window (ids with their payloads, in timestamp order),
+    /// acks, credits and liveness view into `h` for model-checking state
+    /// hashing. The `sent` floors stay out: the simulator resends from
+    /// the ack and never reads them.
+    pub fn state_digest(&self, mut h: &mut dyn Hasher) {
+        h.write_usize(self.window.len());
+        for entry in &self.window {
+            entry.hash(&mut h);
+        }
+        for view in &self.replicas {
+            h.write_u64(view.ack.0);
+            h.write_u32(view.credit);
+            h.write_u8(view.alive as u8);
+        }
     }
 }
 
@@ -852,7 +983,7 @@ impl GrantCoalescer {
 /// One feeder thread's multiplexer over many logical partition lanes —
 /// the paper's proxy deployment, where one node fronts many partitions.
 ///
-/// Each logical lane keeps its own [`LaneSender`] (its window is its
+/// Each logical lane keeps its own id-only [`LaneSender`] (its window is its
 /// partition's unacknowledged stream; its per-replica watermarks and
 /// credits are *protocol* state and cannot be shared without changing
 /// [`ShardedReplicaState`]'s dedup semantics — frames still carry the
@@ -883,7 +1014,9 @@ impl MuxSender {
         assert!(n_lanes > 0, "a mux drives at least one lane");
         MuxSender {
             base,
-            lanes: (0..n_lanes).map(|_| LaneSender::new(n_replicas)).collect(),
+            lanes: (0..n_lanes)
+                .map(|_| LaneSender::new(n_replicas, INITIAL_CREDIT))
+                .collect(),
             window_total: 0,
         }
     }
@@ -927,7 +1060,7 @@ impl MuxSender {
     ///
     /// Panics (debug) unless `ts` exceeds the lane's newest id.
     pub fn push(&mut self, lane: usize, ts: Timestamp) {
-        self.lanes[lane].push(ts);
+        self.lanes[lane].push(ts, ());
         self.window_total += 1;
     }
 
@@ -1034,6 +1167,7 @@ mod tests {
         BatchFrame {
             partition: p(partition),
             ids: ids.iter().map(|&t| Timestamp(t)).collect(),
+            payloads: vec![(); ids.len()],
             heartbeat: None,
         }
     }
@@ -1041,10 +1175,10 @@ mod tests {
     #[test]
     fn duplicate_suffix_frames_are_sliced_off() {
         let mut r = ShardedReplicaState::new(ReplicaId(0), 1);
-        let ack = r.ingest(&frame(0, &[1, 2])).unwrap();
+        let ack = r.ingest_owned(frame(0, &[1, 2])).unwrap();
         assert_eq!(ack, Timestamp(2));
         // Redelivery of the same prefix plus one new id.
-        let ack = r.ingest(&frame(0, &[1, 2, 3])).unwrap();
+        let ack = r.ingest_owned(frame(0, &[1, 2, 3])).unwrap();
         assert_eq!(ack, Timestamp(3));
         assert_eq!(r.total_accepted(), 3);
         assert_eq!(r.total_duplicates(), 2);
@@ -1054,14 +1188,15 @@ mod tests {
     #[test]
     fn heartbeat_advances_watermark_without_ids() {
         let mut r = ShardedReplicaState::new(ReplicaId(0), 2);
-        r.ingest(&frame(0, &[5])).unwrap();
+        r.ingest_owned(frame(0, &[5])).unwrap();
         assert_eq!(r.stable_time(), Timestamp::ZERO, "lane 1 never spoke");
         let hb = BatchFrame {
             partition: p(1),
             ids: Vec::new(),
+            payloads: Vec::new(),
             heartbeat: Some(Timestamp(9)),
         };
-        assert_eq!(r.ingest(&hb).unwrap(), Timestamp(9));
+        assert_eq!(r.ingest_owned(hb).unwrap(), Timestamp(9));
         assert_eq!(r.stable_time(), Timestamp(5));
     }
 
@@ -1069,7 +1204,7 @@ mod tests {
     fn unknown_lane_is_rejected() {
         let mut r = ShardedReplicaState::new(ReplicaId(0), 2);
         assert!(matches!(
-            r.ingest(&frame(5, &[1])),
+            r.ingest_owned(frame(5, &[1])),
             Err(EunomiaError::UnknownPartition(PartitionId(5)))
         ));
     }
@@ -1080,53 +1215,34 @@ mod tests {
         let mut follower = ShardedReplicaState::new(ReplicaId(1), 1);
         for r in [&mut leader, &mut follower] {
             r.set_leader(ReplicaId(0));
-            r.ingest(&frame(0, &[5])).unwrap();
+            r.ingest_owned(frame(0, &[5])).unwrap();
         }
         let mut out = Vec::new();
         assert!(follower
-            .leader_process_stable_with(|_, ts| out.push(ts))
+            .leader_process_stable_up_to(Timestamp::MAX, |_, ts| out.push(ts))
             .is_none());
         let stable = leader
-            .leader_process_stable_with(|_, ts| out.push(ts))
+            .leader_process_stable_up_to(Timestamp::MAX, |_, ts| out.push(ts))
             .unwrap();
         assert_eq!(stable, Timestamp(5));
         assert_eq!(out, vec![Timestamp(5)]);
         assert_eq!(follower.apply_stable(stable), 1);
         assert_eq!(follower.pending(), 0);
         assert_eq!(follower.apply_stable(Timestamp(4)), 0, "stale ignored");
-    }
-
-    #[test]
-    fn failover_emits_no_duplicates_and_loses_nothing() {
-        let ids: Vec<u64> = (1..=10).collect();
-        let mut r0 = ShardedReplicaState::new(ReplicaId(0), 1);
-        let mut r1 = ShardedReplicaState::new(ReplicaId(1), 1);
-        for r in [&mut r0, &mut r1] {
-            r.set_leader(ReplicaId(0));
-            r.ingest(&frame(0, &ids[..6])).unwrap();
-        }
-        let mut emitted = Vec::new();
-        let stable = r0
-            .leader_process_stable_with(|_, ts| emitted.push(ts.0))
-            .unwrap();
-        r1.apply_stable(stable);
-        // r0 crashes; r1 takes over with the remaining ids.
-        r1.ingest(&frame(0, &ids[6..])).unwrap();
-        r1.promote();
-        r1.leader_process_stable_with(|_, ts| emitted.push(ts.0))
-            .unwrap();
-        assert_eq!(emitted, ids);
+        assert_eq!(follower.apply_stable(stable), 0, "repeat ignored");
     }
 
     #[test]
     fn stable_cutoff_is_min_across_many_lanes() {
         let mut r = ShardedReplicaState::new(ReplicaId(0), 16);
         for lane in 0..16u32 {
-            r.ingest(&frame(lane, &[100 + lane as u64])).unwrap();
+            r.ingest_owned(frame(lane, &[100 + lane as u64])).unwrap();
         }
         assert_eq!(r.stable_time(), Timestamp(100));
         let mut n = 0;
-        let stable = r.leader_process_stable_with(|_, _| n += 1).unwrap();
+        let stable = r
+            .leader_process_stable_up_to(Timestamp::MAX, |_, _| n += 1)
+            .unwrap();
         assert_eq!(stable, Timestamp(100));
         assert_eq!(n, 1, "only lane 0's id is at or below the cutoff");
         assert_eq!(r.pending(), 15);
@@ -1134,9 +1250,9 @@ mod tests {
 
     #[test]
     fn sender_builds_suffix_frames_and_prunes_on_acks() {
-        let mut s = LaneSender::new(2);
+        let mut s = LaneSender::new(2, INITIAL_CREDIT);
         for t in 1..=5u64 {
-            s.push(Timestamp(t));
+            s.push(Timestamp(t), ());
         }
         let f = s.build_frame(
             p(0),
@@ -1158,9 +1274,9 @@ mod tests {
 
     #[test]
     fn dead_replica_stops_pinning_window() {
-        let mut s = LaneSender::new(3);
+        let mut s = LaneSender::new(3, INITIAL_CREDIT);
         for t in 1..=5u64 {
-            s.push(Timestamp(t));
+            s.push(Timestamp(t), ());
         }
         s.on_ack(ReplicaId(0), Timestamp(5));
         s.on_ack(ReplicaId(1), Timestamp(5));
@@ -1173,10 +1289,10 @@ mod tests {
 
     #[test]
     fn credit_caps_frames_and_reopens_on_grant() {
-        let mut s = LaneSender::new(1);
+        let mut s = LaneSender::new(1, INITIAL_CREDIT);
         let rid = ReplicaId(0);
         for t in 1..=10u64 {
-            s.push(Timestamp(t));
+            s.push(Timestamp(t), ());
         }
         // Shrink the window to 3: only ids 1..=3 may ship.
         s.on_grant(CreditGrant {
@@ -1224,9 +1340,9 @@ mod tests {
 
     #[test]
     fn max_ids_truncates_frames_below_credit() {
-        let mut s = LaneSender::new(1);
+        let mut s = LaneSender::new(1, INITIAL_CREDIT);
         for t in 1..=8u64 {
-            s.push(Timestamp(t));
+            s.push(Timestamp(t), ());
         }
         let f = s.build_frame(p(0), ReplicaId(0), Timestamp::ZERO, None, 2, Vec::new());
         assert_eq!(f.ids, vec![Timestamp(1), Timestamp(2)]);
@@ -1236,7 +1352,7 @@ mod tests {
     fn advertise_scales_credit_by_backlog_and_queue_fill() {
         let mut r = ShardedReplicaState::new(ReplicaId(0), 2);
         let ids: Vec<u64> = (1..=100).collect();
-        r.ingest(&frame(0, &ids)).unwrap();
+        r.ingest_owned(frame(0, &ids)).unwrap();
         // Idle queue: credit = budget - backlog.
         let g = r.advertise(p(0), 0.0, 1000).unwrap();
         assert_eq!(g.replica, ReplicaId(0));
@@ -1259,18 +1375,19 @@ mod tests {
         let hb = BatchFrame {
             partition: p(1),
             ids: Vec::new(),
+            payloads: Vec::new(),
             heartbeat: Some(Timestamp(200)),
         };
-        r.ingest(&hb).unwrap();
-        r.leader_process_stable_with(|_, _| {});
+        r.ingest_owned(hb).unwrap();
+        r.leader_process_stable_up_to(Timestamp::MAX, |_, _| {});
         assert_eq!(r.advertise(p(0), 0.0, 1000).unwrap().credit, 1000);
     }
 
     #[test]
     fn cutoff_bounded_drain_never_passes_the_combined_minimum() {
         let mut r = ShardedReplicaState::new(ReplicaId(0), 2);
-        r.ingest(&frame(0, &[3, 7])).unwrap();
-        r.ingest(&frame(1, &[9])).unwrap();
+        r.ingest_owned(frame(0, &[3, 7])).unwrap();
+        r.ingest_owned(frame(1, &[9])).unwrap();
         // Local minimum is 7 (lane 0's watermark), but another shard's
         // published minimum caps the combined cutoff at 5.
         let mut out = Vec::new();
@@ -1286,7 +1403,9 @@ mod tests {
             .is_none());
         // The unbounded form still drains to the local minimum.
         out.clear();
-        let stable = r.leader_process_stable_with(|_, ts| out.push(ts)).unwrap();
+        let stable = r
+            .leader_process_stable_up_to(Timestamp::MAX, |_, ts| out.push(ts))
+            .unwrap();
         assert_eq!(stable, Timestamp(7));
         assert_eq!(out, vec![Timestamp(7)]);
     }
@@ -1381,68 +1500,136 @@ mod tests {
     }
 
     #[test]
-    fn append_above_spans_the_deque_wrap_point() {
-        let mut s = LaneSender::new(1);
+    fn build_frame_spans_the_deque_wrap_point() {
+        let mut s: LaneSender<u64> = LaneSender::new(1, INITIAL_CREDIT);
         // Force a wrapped deque: push, prune, push more.
         for t in 1..=8u64 {
-            s.push(Timestamp(t));
+            s.push(Timestamp(t), t * 10);
         }
         s.on_ack(ReplicaId(0), Timestamp(6));
         for t in 9..=12u64 {
-            s.push(Timestamp(t));
+            s.push(Timestamp(t), t * 10);
         }
-        let mut out = Vec::new();
-        s.append_above(Timestamp(7), &mut out);
+        let rid = ReplicaId(0);
+        let f = s.build_frame(p(0), rid, Timestamp(7), None, usize::MAX, Vec::new());
         assert_eq!(
-            out,
+            f.ids,
             (8..=12).map(Timestamp).collect::<Vec<_>>(),
             "suffix must be correct regardless of ring layout"
         );
-        out.clear();
-        s.append_above(Timestamp::ZERO, &mut out);
-        assert_eq!(out.len(), s.window_len());
+        assert_eq!(f.payloads, (8..=12).map(|t| t * 10).collect::<Vec<_>>());
+        let f = s.build_frame(p(0), rid, Timestamp::ZERO, None, usize::MAX, f.ids);
+        assert_eq!(f.ids.len(), s.window_len());
+        assert_eq!(f.payloads.len(), s.window_len());
     }
 
     proptest! {
-        /// The sharded replica agrees with the reference `ReplicaState`
-        /// under lossy, duplicating, multi-replica delivery: same acks,
-        /// same stable times, same accepted id sets.
+        /// The lane-based replica and sender agree with Alg. 4 as written
+        /// (the rb-tree `reference`) under lossy, duplicating delivery from
+        /// several partitions with payloads and heartbeats, lost stable
+        /// announcements and leader failover: identical frames (ids and
+        /// payloads) under unlimited credit, identical acks, duplicate
+        /// counts and stable times, and identical `leader_process_stable`
+        /// output — keys, payloads and global order.
         #[test]
         fn agrees_with_reference_replica_under_loss(
-            n_ops in 1usize..40,
-            plan in proptest::collection::vec((0usize..3, proptest::bool::ANY), 0..120),
+            n_lanes in 3usize..6,
+            // (lane pick, replica pick, action): 0-1 = issue an op,
+            // 2-3 = deliver a frame, 4 = frame lost, 5 = ack lost,
+            // 6 = stabilize and announce, 7 = failover.
+            plan in proptest::collection::vec((0usize..6, 0usize..3, 0u8..8), 0..200),
         ) {
-            use crate::replica::{ReplicaState, ReplicatedSender};
-            let mut sender = LaneSender::new(3);
-            let mut reference_sender: ReplicatedSender<u64> = ReplicatedSender::new(3);
-            let mut sharded: Vec<ShardedReplicaState> =
-                (0..3).map(|i| ShardedReplicaState::new(ReplicaId(i), 1)).collect();
-            let mut reference: Vec<ReplicaState<u64>> =
-                (0..3).map(|i| ReplicaState::new(ReplicaId(i), 1)).collect();
-            let mut produced = 0u64;
-            for (target, drop) in plan {
-                if produced < n_ops as u64 {
-                    produced += 1;
-                    sender.push(Timestamp(produced));
-                    reference_sender.push(Timestamp(produced), produced);
-                }
+            use crate::replica::reference;
+            const REPLICAS: usize = 3;
+            let mut senders: Vec<LaneSender<u64>> =
+                (0..n_lanes).map(|_| LaneSender::new(REPLICAS, u32::MAX)).collect();
+            let mut ref_senders: Vec<reference::ReplicatedSender<u64>> =
+                (0..n_lanes).map(|_| reference::ReplicatedSender::new(REPLICAS)).collect();
+            let mut replicas: Vec<ShardedReplicaState<u64>> = (0..REPLICAS)
+                .map(|i| ShardedReplicaState::new(ReplicaId(i as u32), n_lanes))
+                .collect();
+            let mut refs: Vec<reference::ReplicaState<u64>> = (0..REPLICAS)
+                .map(|i| reference::ReplicaState::new(ReplicaId(i as u32), n_lanes))
+                .collect();
+            // Per-lane clocks advance at different rates, so lanes share
+            // timestamps and the drain order needs its partition tie-break.
+            let mut clocks = vec![0u64; n_lanes];
+            let mut leader = 0usize;
+            // Finally deliver every lane to every replica twice (the second
+            // round carries heartbeats) and stabilize.
+            let flush: Vec<(usize, usize, u8)> = (0..2 * n_lanes * REPLICAS)
+                .map(|i| ((i / REPLICAS) % n_lanes, i % REPLICAS, 2))
+                .chain([(0, 0, 6)])
+                .collect();
+            for (lane_pick, target, action) in plan.into_iter().chain(flush) {
+                let lane = lane_pick % n_lanes;
                 let rid = ReplicaId(target as u32);
-                let f = sender.build_frame(p(0), rid, Timestamp::ZERO, None, usize::MAX, Vec::new());
-                let ref_batch = reference_sender.batch_for(rid);
-                prop_assert_eq!(
-                    f.ids.clone(),
-                    ref_batch.iter().map(|(ts, _)| *ts).collect::<Vec<_>>()
-                );
-                if !drop && !f.ids.is_empty() {
-                    let ack = sharded[target].ingest(&f).unwrap();
-                    let ref_ack = reference[target].new_batch(p(0), ref_batch).unwrap();
-                    prop_assert_eq!(ack, ref_ack);
-                    sender.on_ack(rid, ack);
-                    reference_sender.on_ack(rid, ref_ack);
+                match action {
+                    0 | 1 => {
+                        clocks[lane] += 1 + target as u64;
+                        let payload = clocks[lane] * 100 + lane as u64;
+                        senders[lane].push(Timestamp(clocks[lane]), payload);
+                        ref_senders[lane].push(Timestamp(clocks[lane]), payload);
+                    }
+                    2..=5 => {
+                        // An idle lane heartbeats (Alg. 2 l. 10–12).
+                        let heartbeat = (senders[lane].window_len() == 0).then(|| {
+                            clocks[lane] += 1;
+                            Timestamp(clocks[lane])
+                        });
+                        let f = senders[lane].build_frame(
+                            p(lane as u32), rid, Timestamp::ZERO, heartbeat, usize::MAX, Vec::new());
+                        let batch = ref_senders[lane].batch_for(rid);
+                        let framed: Vec<(Timestamp, u64)> =
+                            f.ids.iter().copied().zip(f.payloads.iter().copied()).collect();
+                        prop_assert_eq!(&framed, &batch, "frame differs from batch_for");
+                        if action != 4 {
+                            let ack = replicas[target].ingest_owned(f).unwrap();
+                            let mut ref_ack = refs[target].new_batch(p(lane as u32), batch);
+                            if let Some(hb) = heartbeat {
+                                ref_ack = refs[target].heartbeat(p(lane as u32), hb);
+                            }
+                            prop_assert_eq!(ack, ref_ack);
+                            if action != 5 {
+                                senders[lane].on_ack(rid, ack);
+                                ref_senders[lane].on_ack(rid, ref_ack);
+                            }
+                        }
+                    }
+                    6 => {
+                        let (mut out, mut ref_out) = (Vec::new(), Vec::new());
+                        let stable = replicas[leader].leader_process_stable(&mut out);
+                        prop_assert_eq!(stable, refs[leader].leader_process_stable(&mut ref_out));
+                        prop_assert_eq!(&out, &ref_out, "drained keys, payloads or order differ");
+                        if let Some(stable) = stable {
+                            // The announcement to `target` is lost.
+                            for f in (0..REPLICAS).filter(|&f| f != leader && f != target) {
+                                prop_assert_eq!(
+                                    replicas[f].apply_stable(stable),
+                                    refs[f].apply_stable(stable)
+                                );
+                            }
+                        }
+                    }
+                    _ => {
+                        // Failover: the next replica is promoted and every
+                        // replica learns the new leader.
+                        leader = (leader + 1) % REPLICAS;
+                        let new_leader = ReplicaId(leader as u32);
+                        for (f, (r, rr)) in replicas.iter_mut().zip(&mut refs).enumerate() {
+                            if f == leader {
+                                r.promote();
+                            } else {
+                                r.set_leader(new_leader);
+                            }
+                            rr.set_leader(new_leader);
+                        }
+                    }
                 }
-                for (s, r) in sharded.iter().zip(reference.iter()) {
-                    prop_assert_eq!(s.stable_time(), r.stable_time());
-                    prop_assert_eq!(s.pending(), r.pending());
+                for (r, rr) in replicas.iter().zip(&refs) {
+                    prop_assert_eq!(r.stable_time(), rr.stable_time());
+                    prop_assert_eq!(r.pending(), rr.pending());
+                    prop_assert_eq!(r.total_duplicates(), rr.total_duplicates());
                 }
             }
         }
@@ -1458,8 +1645,8 @@ mod tests {
             budget in 1u32..24,
             plan in proptest::collection::vec((0usize..2, 0u8..5), 0..200),
         ) {
-            use crate::replica::ReplicaState;
-            let mut sender = LaneSender::new(2);
+            use crate::replica::reference::ReplicaState;
+            let mut sender = LaneSender::new(2, INITIAL_CREDIT);
             let mut sharded: Vec<ShardedReplicaState> =
                 (0..2).map(|i| ShardedReplicaState::new(ReplicaId(i), 1)).collect();
             let mut reference: Vec<ReplicaState<u64>> =
@@ -1474,12 +1661,12 @@ mod tests {
             for (target, action) in plan {
                 if produced < n_ops as u64 {
                     produced += 1;
-                    sender.push(Timestamp(produced));
+                    sender.push(Timestamp(produced), ());
                 }
                 let rid = ReplicaId(target as u32);
                 if action == 4 {
                     // Stabilize: drain the backlog, freeing credit budget.
-                    sharded[target].leader_process_stable_with(|_, _| {});
+                    sharded[target].leader_process_stable_up_to(Timestamp::MAX, |_, _| {});
                     let mut sink = Vec::new();
                     reference[target].leader_process_stable(&mut sink);
                     let g = sharded[target].advertise(p(0), 0.0, budget).unwrap();
@@ -1504,10 +1691,9 @@ mod tests {
                 if frame.ids.is_empty() {
                     continue;
                 }
-                let ack = sharded[target].ingest(&frame).unwrap();
-                let ref_ack = reference[target]
-                    .new_batch(p(0), frame.ids.iter().map(|&ts| (ts, ts.0)))
-                    .unwrap();
+                let ref_ack =
+                    reference[target].new_batch(p(0), frame.ids.iter().map(|&ts| (ts, ts.0)));
+                let ack = sharded[target].ingest_owned(frame.clone()).unwrap();
                 prop_assert_eq!(ack, ref_ack);
                 prop_assert_eq!(
                     sharded[target].total_duplicates(),
@@ -1536,10 +1722,9 @@ mod tests {
                     if frame.ids.is_empty() {
                         break;
                     }
-                    let ack = sharded[target].ingest(&frame).unwrap();
-                    let ref_ack = reference[target]
-                        .new_batch(p(0), frame.ids.iter().map(|&ts| (ts, ts.0)))
-                        .unwrap();
+                    let ref_ack =
+                        reference[target].new_batch(p(0), frame.ids.iter().map(|&ts| (ts, ts.0)));
+                    let ack = sharded[target].ingest_owned(frame.clone()).unwrap();
                     prop_assert_eq!(ack, ref_ack);
                     sender.note_sent(rid, *frame.ids.last().unwrap());
                 }
@@ -1569,12 +1754,12 @@ mod tests {
                 0..160,
             ),
         ) {
-            use crate::replica::ReplicaState;
+            use crate::replica::reference::ReplicaState;
             let n_replicas = 2usize;
             let base = p(3); // Non-zero base: global/local mapping exercised.
             let mut mux = MuxSender::new(base, n_lanes, n_replicas);
             let mut solo: Vec<LaneSender> =
-                (0..n_lanes).map(|_| LaneSender::new(n_replicas)).collect();
+                (0..n_lanes).map(|_| LaneSender::new(n_replicas, INITIAL_CREDIT)).collect();
             // One replica pair per flavour, each with `n_lanes` lanes
             // (lane l is local index l, global PartitionId base + l).
             let mut via_mux: Vec<ShardedReplicaState> =
@@ -1594,14 +1779,14 @@ mod tests {
                 // Issue one id on the picked lane in both flavours.
                 next_ts += 1;
                 mux.push(lane, Timestamp(next_ts));
-                solo[lane].push(Timestamp(next_ts));
+                solo[lane].push(Timestamp(next_ts), ());
                 prop_assert_eq!(
                     mux.window_len(),
                     solo.iter().map(|s| s.window_len()).sum::<usize>(),
                     "pooled window must equal the sum of independent windows"
                 );
                 if action == 4 {
-                    via_mux[target].leader_process_stable_with(|_, _| {});
+                    via_mux[target].leader_process_stable_up_to(Timestamp::MAX, |_, _| {});
                     let mut sink = Vec::new();
                     via_solo[target].leader_process_stable(&mut sink);
                     for (l, solo_lane) in solo.iter_mut().enumerate() {
@@ -1635,10 +1820,9 @@ mod tests {
                 // reference flavour.
                 let mut local = mf.clone();
                 local.partition = p(lane as u32);
-                let ack = via_mux[target].ingest(&local).unwrap();
-                let ref_ack = via_solo[target]
-                    .new_batch(p(lane as u32), sf.ids.iter().map(|&ts| (ts, ts.0)))
-                    .unwrap();
+                let ack = via_mux[target].ingest_owned(local).unwrap();
+                let ref_ack =
+                    via_solo[target].new_batch(p(lane as u32), sf.ids.iter().map(|&ts| (ts, ts.0)));
                 prop_assert_eq!(ack, ref_ack);
                 prop_assert_eq!(via_mux[target].stable_time(), via_solo[target].stable_time());
                 prop_assert_eq!(

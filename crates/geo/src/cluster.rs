@@ -158,7 +158,7 @@ pub fn build(id: SystemId, cfg: ClusterConfig) -> Cluster {
         // Eventual runs no receiver; the registry slot stays empty so a
         // stray receiver-bound send fails loudly.
         receivers.push(causal.then(|| {
-            let proc = ReceiverProc::new(dc, cfg.clone(), reg.clone(), metrics.clone());
+            let proc = ReceiverProc::new(dc, cfg.clone(), reg.clone());
             cluster.sim.add_process(dc, Box::new(proc))
         }));
 

@@ -5,6 +5,11 @@
 //! an Ω elector picks the leader, the leader stabilizes and ships, and
 //! followers discard what the leader announced. Stable batches are chained
 //! (`prev_stable`/`stable`) so receivers stay correct across fail-over.
+//!
+//! The state machine is [`ReplicaState`], the lane-based replica the
+//! threaded service also runs, here carrying each update's [`OpMeta`] as
+//! its payload; its drain emits in global `(timestamp, partition)` order,
+//! which the receivers' Alg. 5 queues rely on.
 
 use crate::config::ClusterConfig;
 use crate::metrics::GeoMetrics;
@@ -13,6 +18,7 @@ use crate::registry::SharedRegistry;
 use eunomia_core::election::OmegaState;
 use eunomia_core::ids::{DcId, ReplicaId};
 use eunomia_core::replica::ReplicaState;
+use eunomia_core::shard::BatchFrame;
 use eunomia_core::time::Timestamp;
 use eunomia_sim::{Context, Process, ProcessId};
 use std::rc::Rc;
@@ -68,19 +74,18 @@ impl ReplicaProc {
     /// Ingests one partition's batch (+ optional heartbeat), returning the
     /// cumulative ack timestamp.
     fn ingest_entry(&mut self, ctx: &mut Context<'_, Msg>, entry: BundleEntry) -> Timestamp {
-        let batch = entry.ops.into_iter().map(|m| (m.id.ts, m));
-        let mut ack = self
-            .state
-            .new_batch(entry.partition, batch)
-            .expect("cluster wiring guarantees valid partition ids");
-        if let Some(hb) = entry.heartbeat {
+        if entry.heartbeat.is_some() {
             ctx.consume(self.cfg.costs.hb_ns);
-            ack = self
-                .state
-                .heartbeat(entry.partition, hb)
-                .expect("cluster wiring guarantees valid partition ids");
         }
-        ack
+        let frame = BatchFrame {
+            partition: entry.partition,
+            ids: entry.ops.iter().map(|m| m.id.ts).collect(),
+            payloads: entry.ops,
+            heartbeat: entry.heartbeat,
+        };
+        self.state
+            .ingest_owned(frame)
+            .expect("cluster wiring guarantees valid partition ids")
     }
 
     fn process_stable(&mut self, ctx: &mut Context<'_, Msg>) {

@@ -4,9 +4,11 @@
 //! communication behaviour: client requests are served on the spot (no
 //! synchronous coordination — the whole point of Eunomia); metadata is
 //! batched to every Eunomia replica on a timer (§5) with the prefix
-//! property maintained by [`ReplicatedSender`]; data is shipped to sibling
-//! partitions immediately; remote updates are applied when the receiver
-//! says so (EunomiaKV) or on arrival (Eventual).
+//! property maintained by a [`LaneSender`] — the sender the threaded
+//! service runs, here with unlimited credit (simulated replicas send no
+//! grants) so each batch is everything above the replica's ack; data is
+//! shipped to sibling partitions immediately; remote updates are applied
+//! when the receiver says so (EunomiaKV) or on arrival (Eventual).
 
 use crate::config::{ClusterConfig, CostModel};
 use crate::metrics::GeoMetrics;
@@ -15,7 +17,7 @@ use crate::registry::SharedRegistry;
 use crate::system::SystemId;
 use eunomia_collections::FxHashMap;
 use eunomia_core::ids::{DcId, PartitionId, ReplicaId};
-use eunomia_core::replica::ReplicatedSender;
+use eunomia_core::shard::LaneSender;
 use eunomia_core::time::Timestamp;
 use eunomia_core::tree::FanInTree;
 use eunomia_kv::partition::{ApplyOutcome, PartitionState};
@@ -34,7 +36,7 @@ pub struct PartitionProc {
     costs: CostModel,
     reg: SharedRegistry,
     metrics: GeoMetrics,
-    sender: ReplicatedSender<OpMeta>,
+    sender: LaneSender<OpMeta>,
     replica_alive: Vec<bool>,
     /// Time of the oldest batch sent to each replica that is still
     /// unacknowledged (`None` when nothing is outstanding). Drives dead
@@ -80,7 +82,7 @@ impl PartitionProc {
             costs,
             reg,
             metrics,
-            sender: ReplicatedSender::new(replicas),
+            sender: LaneSender::new(replicas, u32::MAX),
             replica_alive: vec![true; replicas],
             awaiting_since: vec![None; replicas],
             last_flush: None,
@@ -173,6 +175,7 @@ impl PartitionProc {
             None
         };
         let replicas = self.reg.borrow().eunomia_replicas(self.dc).to_vec();
+        let partition = PartitionId(self.pidx as u32);
         let mut bundle_entries: Vec<BundleEntry> = Vec::new();
         for (f, &pid) in replicas.iter().enumerate() {
             let rid = ReplicaId(f as u32);
@@ -190,18 +193,27 @@ impl PartitionProc {
             if !self.replica_alive[f] {
                 continue;
             }
-            let batch = self.sender.batch_for(rid);
-            if batch.is_empty() && heartbeat.is_none() {
+            // Everything above the replica's ack: credit is unlimited and
+            // the floor is zero, so this is Alg. 4's resend window.
+            let frame = self.sender.build_frame(
+                partition,
+                rid,
+                Timestamp::ZERO,
+                heartbeat,
+                usize::MAX,
+                Vec::new(),
+            );
+            let ops = frame.payloads;
+            if ops.is_empty() && heartbeat.is_none() {
                 continue;
             }
-            if !batch.is_empty() && self.awaiting_since[f].is_none() {
+            if !ops.is_empty() && self.awaiting_since[f].is_none() {
                 self.awaiting_since[f] = Some(now);
             }
-            let ops: Vec<OpMeta> = batch.into_iter().map(|(_, m)| m).collect();
             if self.tree.is_some() {
                 bundle_entries.push(BundleEntry {
                     replica: rid,
-                    partition: PartitionId(self.pidx as u32),
+                    partition,
                     ops,
                     heartbeat,
                 });
@@ -210,7 +222,7 @@ impl PartitionProc {
                 ctx.send(
                     pid,
                     Msg::MetaBatch {
-                        partition: PartitionId(self.pidx as u32),
+                        partition,
                         ops,
                         heartbeat,
                     },

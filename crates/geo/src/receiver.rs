@@ -14,7 +14,6 @@
 //! dropped as duplicates.
 
 use crate::config::ClusterConfig;
-use crate::metrics::GeoMetrics;
 use crate::msg::{Msg, StableOp};
 use crate::registry::SharedRegistry;
 use eunomia_core::ids::DcId;
@@ -31,8 +30,6 @@ pub struct ReceiverProc {
     dc: usize,
     cfg: Rc<ClusterConfig>,
     reg: SharedRegistry,
-    #[allow(dead_code)]
-    metrics: GeoMetrics,
     /// Pending updates per origin DC, in stable order (`Queue_m`).
     queues: Vec<VecDeque<StableOp>>,
     /// Latest origin timestamp applied per origin DC (`SiteTime_m`).
@@ -49,18 +46,12 @@ pub struct ReceiverProc {
 
 impl ReceiverProc {
     /// Creates the receiver of datacenter `dc`.
-    pub fn new(
-        dc: usize,
-        cfg: Rc<ClusterConfig>,
-        reg: SharedRegistry,
-        metrics: GeoMetrics,
-    ) -> Self {
+    pub fn new(dc: usize, cfg: Rc<ClusterConfig>, reg: SharedRegistry) -> Self {
         let n = cfg.n_dcs;
         ReceiverProc {
             dc,
             cfg,
             reg,
-            metrics,
             queues: vec![VecDeque::new(); n],
             site_time: VectorTime::new(n),
             covered: vec![Timestamp::ZERO; n],
@@ -238,7 +229,7 @@ mod tests {
 
     fn receiver() -> ReceiverProc {
         let cfg = Rc::new(ClusterConfig::small_test());
-        ReceiverProc::new(0, cfg, registry::shared(), GeoMetrics::new(2))
+        ReceiverProc::new(0, cfg, registry::shared())
     }
 
     fn op(ts: u64) -> StableOp {
@@ -318,7 +309,7 @@ mod tests {
         assert!(r.deps_satisfied(1, &o));
         // Three-DC receiver: a dependency on dc2 gates.
         let cfg = Rc::new(ClusterConfig::default());
-        let mut r3 = ReceiverProc::new(0, cfg, registry::shared(), GeoMetrics::new(3));
+        let mut r3 = ReceiverProc::new(0, cfg, registry::shared());
         let o3 = StableOp {
             partition: PartitionId(0),
             id: UpdateId {
