@@ -1,10 +1,11 @@
 //! Criterion bench — component-level ablations of the paper's design
 //! choices:
 //!
-//! * **Data/metadata separation (§5):** buffering lightweight ids versus
-//!   full 100-byte payloads through the stabilization buffer. The paper
-//!   decouples the two so Eunomia "handles a significantly heavier load
-//!   independently of update values".
+//! * **Data/metadata separation (§5):** stabilizing lightweight ids versus
+//!   ids carrying full 100-byte payloads through the replica both drivers
+//!   run ([`ReplicaState`]). The paper decouples the two so Eunomia
+//!   "handles a significantly heavier load independently of update
+//!   values".
 //! * **Vector width (§4):** per-op cost of vector-clock maintenance as the
 //!   number of datacenters grows — the metadata-enrichment overhead that
 //!   separates Cure from GentleRain.
@@ -12,24 +13,36 @@
 //!   to size simulation experiments.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use eunomia_core::buffer::{OpKey, StabilizationBuffer};
-use eunomia_core::ids::PartitionId;
+use eunomia_core::ids::{PartitionId, ReplicaId};
+use eunomia_core::replica::ReplicaState;
 use eunomia_core::time::{Timestamp, VectorTime};
 use eunomia_sim::{units, Context, Process, ProcessId, Simulation, Topology};
 use std::hint::black_box;
 use std::time::Duration;
 
 const OPS: u64 = 4_096;
+const LANES: u64 = 8;
 
-fn buffer_cycle<T: Clone>(payload: T) -> usize {
-    let mut buf: StabilizationBuffer<T> = StabilizationBuffer::new();
+/// Feeds `OPS` ids to a fresh leader replica in rounds of 64 — one
+/// `NEW_BATCH` of 8 ids per lane, ids interleaved across lanes — and runs
+/// `PROCESS_STABLE` after each round. Returns the number of stabilized
+/// ids.
+fn replica_cycle<T: Clone>(payload: T) -> usize {
+    let mut replica: ReplicaState<T> = ReplicaState::new(ReplicaId(0), LANES as usize);
     let mut out = Vec::new();
     for round in 0..(OPS / 64) {
-        for i in 0..64u64 {
-            let ts = Timestamp(round * 64 + i + 1);
-            buf.insert(OpKey::new(ts, PartitionId((i % 8) as u32)), payload.clone());
+        for lane in 0..LANES {
+            let batch = (0..64 / LANES).map(|k| {
+                (
+                    Timestamp(round * 64 + k * LANES + lane + 1),
+                    payload.clone(),
+                )
+            });
+            replica
+                .new_batch(PartitionId(lane as u32), batch)
+                .expect("lane in range");
         }
-        buf.drain_stable(Timestamp(round * 64 + 32), &mut out);
+        replica.leader_process_stable(&mut out);
     }
     out.len()
 }
@@ -39,16 +52,16 @@ fn data_metadata_separation(c: &mut Criterion) {
     g.throughput(Throughput::Elements(OPS));
     g.bench_function(BenchmarkId::from_parameter("id_only"), |b| {
         // §5: Eunomia handles (timestamp, key) ids only.
-        b.iter(|| black_box(buffer_cycle(0u64)))
+        b.iter(|| black_box(replica_cycle(0u64)))
     });
     g.bench_function(BenchmarkId::from_parameter("full_100B_payload"), |b| {
         // Strawman: the service carries the 100-byte value too.
         let value = bytes::Bytes::from(vec![0xABu8; 100]);
-        b.iter(|| black_box(buffer_cycle((0u64, value.clone()))))
+        b.iter(|| black_box(replica_cycle((0u64, value.clone()))))
     });
     g.bench_function(BenchmarkId::from_parameter("full_1KiB_payload"), |b| {
         let value = bytes::Bytes::from(vec![0xABu8; 1024]);
-        b.iter(|| black_box(buffer_cycle((0u64, value.clone()))))
+        b.iter(|| black_box(replica_cycle((0u64, value.clone()))))
     });
     g.finish();
 }

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use eunomia_core::ids::{PartitionId, ReplicaId};
 use eunomia_core::sequencer::Sequencer;
 use eunomia_core::shard::{BatchFrame, LaneSender, ShardedReplicaState, INITIAL_CREDIT};
-use eunomia_core::time::{Hlc, HlcTimestamp, ScalarHlc, Timestamp, VectorTime};
+use eunomia_core::time::{ScalarHlc, Timestamp, VectorTime};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -18,14 +18,6 @@ fn clock_benches(c: &mut Criterion) {
         b.iter(|| {
             t += 3;
             black_box(clock.tick(Timestamp(t), Timestamp(t / 2)))
-        })
-    });
-    c.bench_function("clock/structured_hlc_update", |b| {
-        let mut hlc = Hlc::new();
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 3;
-            black_box(hlc.update(t, HlcTimestamp { l: t + 1, c: 2 }))
         })
     });
     c.bench_function("clock/vector_merge_and_dominates_m3", |b| {

@@ -11,11 +11,8 @@
 //!
 //! Module map (paper section in parentheses):
 //!
-//! * [`time`] — scalar hybrid clocks (Alg. 2 line 5), structured HLC
-//!   (Kulkarni et al.), vector times with one entry per datacenter (§4).
-//! * [`buffer`] — [`OpKey`], the `(timestamp, partition)` stabilization
-//!   order, and the prototype's ordered stabilization buffer (§6), kept
-//!   for the buffer ablations; the replica itself stores per-lane runs.
+//! * [`time`] — scalar hybrid clocks (Alg. 2 line 5) and vector times
+//!   with one entry per datacenter (§4).
 //! * [`replica`] — the Eunomia service as the paper states it (Alg. 3
 //!   and its fault-tolerant form, Alg. 4): the prefix property, the
 //!   leader-driven stable broadcast (§3.1, §3.3), and
@@ -26,7 +23,8 @@
 //!   threaded runtime's path, update metadata in the simulator):
 //!   per-feeder lanes with watermark dedup, a tournament tree over stable
 //!   cutoffs, credit-based flow control, and id batches in
-//!   [`shard::BatchFrame`]s (one allocation per batch).
+//!   [`shard::BatchFrame`]s (one allocation per batch). Stable ids leave
+//!   in [`OpKey`] order, the `(timestamp, partition)` order of Alg. 3.
 //! * [`election`] — an Ω-style eventual leader elector (§3.3 allows any
 //!   asynchronous leader election; we provide a timeout-based one).
 //! * [`sequencer`] — the traditional sequencer and its chain-replicated
@@ -57,7 +55,6 @@
 //! assert_eq!(stable.iter().map(|(_, v)| *v).collect::<Vec<_>>(), vec!["a", "b"]);
 //! ```
 
-pub mod buffer;
 pub mod election;
 pub mod ids;
 pub mod replica;
@@ -66,8 +63,7 @@ pub mod shard;
 pub mod time;
 pub mod tree;
 
-pub use buffer::{OpKey, StabilizationBuffer};
 pub use ids::{DcId, PartitionId, ReplicaId};
 pub use replica::{EunomiaError, ReplicaState};
-pub use shard::{BatchFrame, LaneSender, ShardedReplicaState};
+pub use shard::{BatchFrame, LaneSender, OpKey, ShardedReplicaState};
 pub use time::{ScalarHlc, Timestamp, VectorTime};

@@ -19,7 +19,7 @@
 //!
 //! Both the replica and the sender are implemented once, in
 //! [`crate::shard`]; both drivers run them. Under `cfg(test)` this module
-//! also keeps Alg. 4 transcribed literally — one red-black tree keyed by
+//! also keeps Alg. 4 transcribed literally — one ordered map keyed by
 //! `(timestamp, partition)` and a resend window — as the reference the
 //! equivalence proptests compare against.
 
@@ -56,16 +56,16 @@ pub type ReplicaState<T> = crate::shard::ShardedReplicaState<T>;
 /// proptests hold the lane-based replica and sender to.
 #[cfg(test)]
 pub(crate) mod reference {
-    use crate::buffer::{OpKey, StabilizationBuffer};
     use crate::ids::{PartitionId, ReplicaId};
+    use crate::shard::OpKey;
     use crate::time::Timestamp;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
 
     /// One replica: a global ordered map of unstable operations.
     pub(crate) struct ReplicaState<T> {
         id: ReplicaId,
         partition_time: Vec<Timestamp>,
-        ops: StabilizationBuffer<T>,
+        ops: BTreeMap<OpKey, T>,
         leader: ReplicaId,
         last_stable: Timestamp,
         total_accepted: u64,
@@ -77,7 +77,7 @@ pub(crate) mod reference {
             ReplicaState {
                 id,
                 partition_time: vec![Timestamp::ZERO; n_partitions],
-                ops: StabilizationBuffer::new(),
+                ops: BTreeMap::new(),
                 leader: ReplicaId(0),
                 last_stable: Timestamp::ZERO,
                 total_accepted: 0,
@@ -128,7 +128,7 @@ pub(crate) mod reference {
             if self.leader != self.id || stable <= self.last_stable {
                 return None;
             }
-            self.ops.drain_stable(stable, out);
+            out.extend(std::iter::from_fn(|| self.pop_stable(stable)));
             self.last_stable = stable;
             Some(stable)
         }
@@ -139,7 +139,15 @@ pub(crate) mod reference {
                 return 0;
             }
             self.last_stable = stable;
-            self.ops.discard_stable(stable)
+            std::iter::from_fn(|| self.pop_stable(stable)).count()
+        }
+
+        /// `FIND_STABLE` plus removal: pops the smallest operation if it
+        /// is at or below `(stable, PartitionId(u32::MAX))`, so repeated
+        /// calls drain the stable prefix in `(timestamp, partition)` order.
+        fn pop_stable(&mut self, stable: Timestamp) -> Option<(OpKey, T)> {
+            let first = self.ops.first_entry()?;
+            (first.key().ts <= stable).then(|| first.remove_entry())
         }
 
         pub(crate) fn pending(&self) -> usize {
@@ -196,12 +204,41 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
     use crate::ids::ReplicaId;
-    use crate::shard::LaneSender;
+    use crate::shard::{LaneSender, OpKey};
     use crate::time::Timestamp;
     use proptest::prelude::*;
 
     fn p(i: u32) -> PartitionId {
         PartitionId(i)
+    }
+
+    #[test]
+    fn stable_bound_is_inclusive() {
+        let mut r: ReplicaState<&str> = ReplicaState::new(ReplicaId(0), 2);
+        r.new_batch(p(0), [(Timestamp(10), "at"), (Timestamp(11), "above")])
+            .unwrap();
+        r.heartbeat(p(1), Timestamp(10)).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(r.leader_process_stable(&mut out), Some(Timestamp(10)));
+        assert_eq!(out, vec![(OpKey::new(Timestamp(10), p(0)), "at")]);
+        assert_eq!(r.pending(), 1);
+    }
+
+    #[test]
+    fn equal_timestamps_from_different_partitions_drain_in_partition_order() {
+        let mut r: ReplicaState<&str> = ReplicaState::new(ReplicaId(0), 3);
+        // Arrival order is partition 2, 0, 1; the drain must not follow it.
+        r.new_batch(p(2), [(Timestamp(7), "c7"), (Timestamp(10), "c10")])
+            .unwrap();
+        r.new_batch(p(0), [(Timestamp(5), "a5"), (Timestamp(10), "a10")])
+            .unwrap();
+        r.new_batch(p(1), [(Timestamp(10), "b10")]).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(r.leader_process_stable(&mut out), Some(Timestamp(10)));
+        let order: Vec<_> = out.iter().map(|(_, v)| *v).collect();
+        assert_eq!(order, vec!["a5", "c7", "a10", "b10", "c10"]);
+        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(r.pending(), 0);
     }
 
     #[test]

@@ -114,13 +114,35 @@
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::buffer::OpKey;
 use crate::ids::{PartitionId, ReplicaId};
 use crate::replica::EunomiaError;
 use crate::time::Timestamp;
 use eunomia_collections::TournamentTree;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+
+/// The `(timestamp, partition)` stabilization order of Alg. 3: timestamp
+/// first, partition as tie-breaker.
+///
+/// Property 2 guarantees a single partition never reuses a timestamp, so
+/// `(ts, partition)` uniquely identifies an operation. Operations from
+/// *different* partitions may share a timestamp — they are concurrent and
+/// the paper allows processing them in any order; ordering by partition id
+/// makes that order deterministic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct OpKey {
+    /// Update timestamp (the local entry of its vector time).
+    pub ts: Timestamp,
+    /// Originating partition.
+    pub partition: PartitionId,
+}
+
+impl OpKey {
+    /// Convenience constructor.
+    pub fn new(ts: Timestamp, partition: PartitionId) -> Self {
+        OpKey { ts, partition }
+    }
+}
 
 /// Credit a lane starts with before its first grant arrives: optimistic
 /// enough that first contact is not throttled (one default feeder window),
@@ -1525,7 +1547,7 @@ mod tests {
 
     proptest! {
         /// The lane-based replica and sender agree with Alg. 4 as written
-        /// (the rb-tree `reference`) under lossy, duplicating delivery from
+        /// (the ordered-map `reference`) under lossy, duplicating delivery from
         /// several partitions with payloads and heartbeats, lost stable
         /// announcements and leader failover: identical frames (ids and
         /// payloads) under unlimited credit, identical acks, duplicate

@@ -4,10 +4,8 @@
 //! are scalars derived from a loosely synchronized physical clock, with a
 //! logical bump that keeps them strictly monotone per partition and strictly
 //! above each client's causal past. [`ScalarHlc`] implements exactly the
-//! rule of Algorithm 2 line 5. [`Hlc`] is the structured
-//! (physical, logical) hybrid clock of Kulkarni et al., provided as the
-//! general-purpose clock for library users. [`VectorTime`] is the
-//! one-entry-per-datacenter vector of §4.
+//! rule of Algorithm 2 line 5. [`VectorTime`] is the one-entry-per-
+//! datacenter vector of §4.
 
 use std::fmt;
 use std::ops::{Add, Sub};
@@ -138,74 +136,6 @@ impl ScalarHlc {
         );
         self.max_ts = physical;
         physical
-    }
-}
-
-/// A structured hybrid logical clock (Kulkarni et al., OPODIS '14).
-///
-/// Keeps the physical component `l` within the clock-synchronization bound
-/// of real time, and a bounded logical counter `c` that breaks ties. The
-/// paper's scalar scheme is the special case where both components are
-/// folded into one integer; this type exists for library users who want
-/// explicit HLC semantics and for the clock-skew ablation bench.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HlcTimestamp {
-    /// Physical component (clock ticks).
-    pub l: u64,
-    /// Logical tie-breaker.
-    pub c: u32,
-}
-
-impl fmt::Display for HlcTimestamp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}+{}", self.l, self.c)
-    }
-}
-
-/// Hybrid logical clock state.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Hlc {
-    last: HlcTimestamp,
-}
-
-impl Hlc {
-    /// A fresh clock.
-    pub fn new() -> Self {
-        Hlc {
-            last: HlcTimestamp::default(),
-        }
-    }
-
-    /// Timestamp for a send or local event at physical time `pt` (ticks).
-    pub fn now(&mut self, pt: u64) -> HlcTimestamp {
-        if pt > self.last.l {
-            self.last = HlcTimestamp { l: pt, c: 0 };
-        } else {
-            self.last.c += 1;
-        }
-        self.last
-    }
-
-    /// Timestamp for a receive event: merges the remote timestamp `m` with
-    /// physical time `pt`.
-    pub fn update(&mut self, pt: u64, m: HlcTimestamp) -> HlcTimestamp {
-        let l_new = pt.max(self.last.l).max(m.l);
-        let c_new = if l_new == self.last.l && l_new == m.l {
-            self.last.c.max(m.c) + 1
-        } else if l_new == self.last.l {
-            self.last.c + 1
-        } else if l_new == m.l {
-            m.c + 1
-        } else {
-            0
-        };
-        self.last = HlcTimestamp { l: l_new, c: c_new };
-        self.last
-    }
-
-    /// The latest issued timestamp.
-    pub fn last(&self) -> HlcTimestamp {
-        self.last
     }
 }
 
@@ -507,32 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn structured_hlc_stays_close_to_physical() {
-        let mut hlc = Hlc::new();
-        let t1 = hlc.now(10);
-        assert_eq!((t1.l, t1.c), (10, 0));
-        let t2 = hlc.now(10);
-        assert_eq!((t2.l, t2.c), (10, 1));
-        let t3 = hlc.now(11);
-        assert_eq!((t3.l, t3.c), (11, 0));
-    }
-
-    #[test]
-    fn structured_hlc_update_merges() {
-        let mut hlc = Hlc::new();
-        hlc.now(10);
-        // Remote is ahead: adopt its l, bump c.
-        let t = hlc.update(10, HlcTimestamp { l: 20, c: 3 });
-        assert_eq!((t.l, t.c), (20, 4));
-        // Physical overtakes: logical resets.
-        let t = hlc.update(25, HlcTimestamp { l: 20, c: 9 });
-        assert_eq!((t.l, t.c), (25, 0));
-        // Equal l on both sides: c = max + 1.
-        let t = hlc.update(25, HlcTimestamp { l: 25, c: 7 });
-        assert_eq!((t.l, t.c), (25, 8));
-    }
-
-    #[test]
     fn vector_time_merge_and_dominates() {
         let mut a = VectorTime::from_ticks(&[5, 0, 9]);
         let b = VectorTime::from_ticks(&[3, 7, 9]);
@@ -622,18 +526,6 @@ mod tests {
             let mut idem = ab.clone();
             idem.merge_max(&ab.clone());
             prop_assert_eq!(idem, ab);
-        }
-
-        /// Structured HLC timestamps strictly increase per clock.
-        #[test]
-        fn hlc_monotone(readings in proptest::collection::vec(0u64..1000, 1..200)) {
-            let mut hlc = Hlc::new();
-            let mut prev = HlcTimestamp::default();
-            for pt in readings {
-                let t = hlc.now(pt);
-                prop_assert!(t > prev);
-                prev = t;
-            }
         }
     }
 }

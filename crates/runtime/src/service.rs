@@ -120,12 +120,14 @@ pub struct EunomiaBenchConfig {
     /// and scaling the partition count scales the offered load until the
     /// service saturates.
     pub feeder_rate: Option<u64>,
-    /// Crash schedule: `(when, replica_index)`.
+    /// Crash schedule: `(when, replica_index)`. Every index must be below
+    /// `replicas` (checked before any thread starts).
     pub crashes: Vec<(Duration, usize)>,
-    /// Revival schedule: `(when, replica_index)`. A revived replica
-    /// restarts with fresh state and rejoins by resend from each lane's
-    /// window floor (the `mark_alive` state-transfer contract); pair with
-    /// `crashes` for kill/restart fault cells.
+    /// Revival schedule: `(when, replica_index)`, indices as for
+    /// `crashes`. A revived replica restarts with fresh state and rejoins
+    /// by resend from each lane's window floor (the `mark_alive`
+    /// state-transfer contract); pair with `crashes` for kill/restart
+    /// fault cells.
     pub revives: Vec<(Duration, usize)>,
     /// Liveness timeout for leader fail-over.
     pub omega_timeout: Duration,
@@ -838,6 +840,14 @@ pub fn run_eunomia_service_with_stats(
         cfg.lanes_per_feeder > 0 && cfg.stabilizers > 0,
         "need at least one lane per feeder thread and one stabilizer"
     );
+    assert!(
+        cfg.crashes
+            .iter()
+            .chain(&cfg.revives)
+            .all(|&(_, r)| r < cfg.replicas),
+        "crash/revive schedule names a replica index >= replicas ({})",
+        cfg.replicas
+    );
     let geo = Arc::new(Geometry::new(cfg));
     let n_shards = geo.n_shards;
     let shared = Arc::new(Shared {
@@ -1137,6 +1147,18 @@ mod tests {
             stats.advertised_credits.count() > 0,
             "replicas must advertise credit windows"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "crash/revive schedule names a replica index")]
+    fn out_of_range_fault_schedule_is_rejected_up_front() {
+        // A revive far past the run's end: only the up-front check can
+        // fire, before any feeder or shard thread starts.
+        let cfg = EunomiaBenchConfig {
+            revives: vec![(Duration::from_secs(3600), 1)],
+            ..quick(1, 1)
+        };
+        run_eunomia_service(&cfg);
     }
 
     #[test]
